@@ -42,6 +42,7 @@ from .pairhmm import (
     ScoringScheme,
     delannoy_count,
     enumerate_alignments,
+    log_pair_probability,
     pair_probability,
     parametric_polygon,
     score_alignment_basic,

@@ -91,7 +91,8 @@ def _cmd_align(args) -> int:
     if args.align_command == "prob":
         params = pair_params_from_json(Path(args.params).read_text())
         value = pairhmm.pair_probability(params, s1, s2)
-        _emit(args, json.dumps({"probability": value}))
+        log_value = pairhmm.log_pair_probability(params, s1, s2)
+        _emit(args, json.dumps({"probability": value, "logProbability": log_value}))
     elif args.align_command == "viterbi":
         params = pair_params_from_json(Path(args.params).read_text())
         best = pairhmm.viterbi_alignment(params, s1, s2)

@@ -8,13 +8,24 @@ generation probability (sum over alignments of the word's parameter
 monomial), the best-scoring alignment under max-plus, and the lattice
 polygon of achievable (mismatch count, indel count) pairs for
 parametric alignment.
+
+Probability and max-plus sweep the grid one anti-diagonal at a time,
+each diagonal a numpy vector per state.  Probability rescales every
+diagonal by an exact power of two and carries the exponent, so
+:func:`log_pair_probability` is finite where the probability underflows.
+Max-plus records, per cell and state, which predecessor states tie for
+the maximum; polygons keep one convex hull per cell and record which
+letters reach each vertex.  Exact ties are resolved once, after the
+sweep: the nodes on optimal paths are marked backwards, and the word is
+read forwards taking the smallest letter (D < I < M) into a marked node,
+which yields the lexicographically smallest optimal word or witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +145,8 @@ class PairHmmParams:
         if ei.shape != (4,) or ed.shape != (4,):
             raise ValueError("insert/delete emissions must have length 4")
         for arr in (trans, em, ei, ed):
-            if (arr < 0).any():
-                raise ValueError("parameters must be non-negative")
+            if not (np.isfinite(arr) & (arr >= 0)).all():
+                raise ValueError("parameters must be finite and non-negative")
         if self.mode == "stochastic":
             if np.abs(trans.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("stochastic mode: transition rows must sum to 1")
@@ -228,13 +239,13 @@ def _emission(p: PairHmmParams, state: str, a: str | None, b: str | None) -> flo
     return float(p.emit_delete[_NUC_INDEX[a]])
 
 
-def alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
-    """Value of the parameter monomial of one alignment word: the first
-    state's emission times transition-emission factors for the rest."""
+def _factors(p: PairHmmParams, word: str, s1: str, s2: str):
+    """The factors of one word's parameter monomial in word order: each
+    position's transition from the previous state (none for the first
+    position), then its emission."""
     s1, s2 = _check_sequences(s1, s2)
     validate_alignment(word, len(s1), len(s2))
     i = j = 0
-    value = 1.0
     prev: str | None = None
     for state in word:
         if state in "MD":
@@ -242,141 +253,169 @@ def alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
         if state in "MI":
             j += 1
         if prev is not None:
-            value *= float(p.trans[_S[prev], _S[state]])
-        value *= _emission(p, state, s1[i - 1], s2[j - 1])
+            yield float(p.trans[_S[prev], _S[state]])
+        yield _emission(p, state, s1[i - 1], s2[j - 1])
         prev = state
+
+
+def alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
+    """Value of the parameter monomial of one alignment word: the first
+    state's emission times transition-emission factors for the rest."""
+    value = 1.0
+    for factor in _factors(p, word, s1, s2):
+        value *= factor
     return value
 
 
 def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
-    value = alignment_monomial(p, word, s1, s2)
-    return math.log(value) if value > 0 else NEG_INF
+    """Log of :func:`alignment_monomial`, summed factor by factor in word
+    order, so it stays finite where the product underflows."""
+    score = 0.0
+    for factor in _factors(p, word, s1, s2):
+        if factor == 0.0:
+            return NEG_INF
+        score += math.log(factor)
+    return score
 
 
 # ---------------------------------------------------------------------------
 # the shared grid dynamic program
 
-# Cell (i, j) holds, per final state, the semiring total over alignment
-# prefixes that consume i letters of the first and j letters of the
-# second sequence.  The first alignment position carries no transition
-# factor.  Adapters supply the semiring: plain floats for probability,
-# (score, backward-linked word) pairs for max-plus with lexicographic
-# (D < I < M) tie-breaking, and vertex->word maps for lattice polygons.
+# Node (i, j, k) holds the semiring total over alignment prefixes that
+# consume i letters of the first and j of the second sequence and end in
+# state k.  The empty prefix at (0, 0) is a fourth, start state, whose
+# transitions carry no factor: the first position has only its emission.
+# The grid is swept one anti-diagonal d = i + j at a time.  A diagonal is
+# a (4, n + 2) array of states by row, row i at column i + 1 (column 0
+# stands for the missing row -1), and only the two previous diagonals are
+# kept.  States that cannot occur (M or I at j = 0, M or D at i = 0, the
+# start state away from (0, 0)) hold the semiring's zero.
+#
+# Probability rescales every diagonal by an exact power of two, so that
+# its largest entry lies in [1/2, 1), and carries the exponents apart
+# (Durbin et al., Biological Sequence Analysis, 1998, section 3.6).  The
+# log of the total is then finite however far the total underflows.
+#
+# Max-plus adds in the order (prev + log trans) + log emit and keeps, per
+# node, a bit mask of the predecessor states that reach the maximum
+# exactly; its zero is NaN, so a missing state neither wins nor ties.
+# Ties are resolved once, at the end.  Every node on an optimal path is
+# marked backwards from the best final states; the word is then read
+# forwards from (0, 0), taking at each step the smallest letter
+# (D < I < M) into a marked node by a tight edge.  Words that end at the
+# same cell are never prefixes of one another, so this greedy walk gives
+# the lexicographically smallest optimal word.
+#
+# Polygons carry no transition factor, so one hull per cell suffices: the
+# hull of the predecessor hulls moved by each letter's (mismatch, indel)
+# step, with a mask of the letters that reach each vertex from a vertex of
+# their predecessor cell.  Every alignment ending at a final vertex passes
+# through hull vertices only, so the same mark-and-walk over (cell, vertex)
+# nodes gives each vertex's lexicographically smallest witness.
+
+_START = 3
+#: (rows, columns) that each state's letter consumes, by state index
+_MOVES = ((1, 1), (0, 1), (1, 0))
+_WALK_ORDER = (_S["D"], _S["I"], _S["M"])
 
 
-def _grid_dp(adapter, n: int, m: int):
-    cells: dict[tuple[int, int], dict[str, object]] = {}
-    for i in range(n + 1):
-        for j in range(m + 1):
-            if i == 0 and j == 0:
+def _codes(seq: str) -> np.ndarray:
+    return np.array([_NUC_INDEX[c] for c in seq], dtype=np.intp)
+
+
+def _sweep(tables, s1: str, s2: str, zero: float, start: float, step) -> np.ndarray:
+    """Run the grid over the anti-diagonals d = 1 .. n + m.
+
+    ``tables`` are the match (4x4), insert and delete emission tables in
+    the semiring's values, ``zero`` fills the states that cannot occur
+    and ``start`` is the empty prefix's value.  ``step(d, lo, hi, src,
+    emit)`` returns diagonal d's (3, hi - lo + 1) entries for rows lo ..
+    hi; ``src[k]`` holds the (4, rows) predecessor entries of target
+    state k and ``emit[k]`` its emissions.  Returns the final cell's
+    entries for M, I and D.
+    """
+    match, insert, delete = tables
+    a, b = _codes(s1), _codes(s2)
+    n, m = len(a), len(b)
+    a_pad = np.concatenate(([0], a))  # a_pad[i] = a[i - 1]
+    b_rev = np.concatenate((b[::-1], [0]))  # b_rev[m - j] = b[j - 1]
+    ins_rev, del_pad = insert[b_rev], delete[a_pad]
+    prev2 = np.full((4, n + 2), zero)
+    prev1 = np.full((4, n + 2), zero)
+    prev1[_START, 1] = start
+    for d in range(1, n + m + 1):
+        lo, hi = max(0, d - m), min(n, d)
+        rows, up = slice(lo + 1, hi + 2), slice(lo, hi + 1)
+        cols = slice(m - d + lo, m - d + hi + 1)
+        src = np.stack((prev2[:, up], prev1[:, rows], prev1[:, up]))
+        emit = np.stack((match[a_pad[up], b_rev[cols]], ins_rev[cols], del_pad[up]))
+        cur = np.full((4, n + 2), zero)
+        cur[:3, rows] = step(d, lo, hi, src, emit)
+        prev2, prev1 = prev1, cur
+    return prev1[:3, n + 1]
+
+
+def _walk(n: int, m: int, node, step) -> str:
+    """Read a word forwards from (0, 0) at ``node``: at each cell take
+    the smallest letter (D < I < M) for which ``step(i, j, node, k)``,
+    given the cell the letter enters, returns the next node."""
+    word = []
+    i = j = 0
+    while i < n or j < m:
+        for k in _WALK_ORDER:
+            di, dj = _MOVES[k]
+            if i + di <= n and j + dj <= m:
+                nxt = step(i + di, j + dj, node, k)
+                if nxt is not None:
+                    break
+        word.append(STATES[k])
+        i, j, node = i + di, j + dj, nxt
+    return "".join(word)
+
+
+def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]:
+    """(mantissa, exponent) with pair probability = mantissa * 2**exponent."""
+    trans = np.vstack((p.trans, np.ones(3))).T[:, :, None]  # [target, source]
+    exps = [0, 0]  # binary exponents of the diagonals so far, from d = -1
+
+    def step(d, lo, hi, src, emit):
+        cand = src * trans
+        cand *= emit[:, None, :]
+        raw = cand.sum(axis=1)
+        # M comes from diagonal d - 2: express it in d - 1's units
+        raw[0] = np.ldexp(raw[0], exps[-2] - exps[-1])
+        shift = math.frexp(raw.max())[1]
+        exps.append(exps[-1] + shift)
+        return np.ldexp(raw, -shift)
+
+    tables = (p.emit_match, p.emit_insert, p.emit_delete)
+    final = _sweep(tables, s1, s2, 0.0, 1.0, step)
+    return float(final.sum()), exps[-1]
+
+
+def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int) -> bytes:
+    """Per cell i * (m + 1) + j, the bit mask of the states whose nodes
+    lie on a path of tight edges to a best final state."""
+    marked = np.zeros((n + 1) * (m + 1), dtype=np.uint8)
+    marked[-1] = np.packbits(best_final, bitorder="little")[0]
+    for d in range(n + m, 0, -1):
+        lo, hi = max(0, d - m), min(n, d)
+        for k, (di, dj) in enumerate(_MOVES):
+            first, last = max(lo, di), min(hi, d - dj)  # rows with a predecessor
+            if first > last:
                 continue
-            vals: dict[str, object] = {}
-            if i >= 1 and j >= 1:
-                vals["M"] = _enter(adapter, cells, i - 1, j - 1, "M", i, j)
-            if j >= 1:
-                vals["I"] = _enter(adapter, cells, i, j - 1, "I", i, j)
-            if i >= 1:
-                vals["D"] = _enter(adapter, cells, i - 1, j, "D", i, j)
-            cells[(i, j)] = vals
-    return adapter.merge(list(cells[(n, m)].values()))
+            cells = slice(d + first * m, d + last * m + 1, m)
+            back = di * (m + 1) + dj
+            preds = slice(cells.start - back, cells.stop - back, m)
+            marked[preds] |= tight[k, cells] * ((marked[cells] >> k) & 1)
+    return marked.tobytes()
 
 
-def _enter(adapter, cells, pi: int, pj: int, state: str, i: int, j: int):
-    if pi == 0 and pj == 0:
-        return adapter.first(state, i, j)
-    prev = cells[(pi, pj)]
-    return adapter.merge(
-        [adapter.step(v, ps, state, i, j) for ps, v in prev.items()]
-    )
-
-
-class _ProbGrid:
-    def __init__(self, p: PairHmmParams, s1: str, s2: str):
-        self.p, self.s1, self.s2 = p, s1, s2
-
-    def _emit(self, state, i, j):
-        return _emission(
-            self.p,
-            state,
-            self.s1[i - 1] if i else None,
-            self.s2[j - 1] if j else None,
-        )
-
-    def first(self, state, i, j):
-        return self._emit(state, i, j)
-
-    def step(self, value, prev_state, state, i, j):
-        return value * float(self.p.trans[_S[prev_state], _S[state]]) * self._emit(state, i, j)
-
-    @staticmethod
-    def merge(values):
-        return sum(values)
-
-
-def _word_of(cell) -> tuple[str, ...]:
-    out = []
-    while cell is not None:
-        out.append(cell[0])
-        cell = cell[1]
-    out.reverse()
-    return tuple(out)
-
-
-class _MaxPlusGrid:
-    """Values are (score, linked word); merge keeps the max score and
-    breaks exact ties by the lexicographically smaller word."""
-
-    def __init__(self, trans_score: Callable, emit_score: Callable):
-        self.trans_score = trans_score
-        self.emit_score = emit_score
-
-    def first(self, state, i, j):
-        return (self.emit_score(state, i, j), (state, None))
-
-    def step(self, value, prev_state, state, i, j):
-        score = value[0] + self.trans_score(prev_state, state) + self.emit_score(state, i, j)
-        return (score, (state, value[1]))
-
-    @staticmethod
-    def merge(values):
-        best = values[0]
-        for cand in values[1:]:
-            if cand[0] > best[0] or (
-                cand[0] == best[0] and _word_of(cand[1]) < _word_of(best[1])
-            ):
-                best = cand
-        return best
-
-
-class _PolygonGrid:
-    """Values map achievable exponent points to a witness word (linked,
-    lexicographically smallest); merge prunes to convex-hull vertices."""
-
-    def __init__(self, s1: str, s2: str):
-        self.s1, self.s2 = s1, s2
-
-    def _delta(self, state, i, j):
-        if state == "M":
-            return (0, 0) if self.s1[i - 1] == self.s2[j - 1] else (1, 0)
-        return (0, 1)
-
-    def first(self, state, i, j):
-        return {self._delta(state, i, j): (state, None)}
-
-    def step(self, value, prev_state, state, i, j):
-        dx, dy = self._delta(state, i, j)
-        return {(x + dx, y + dy): (state, cell) for (x, y), cell in value.items()}
-
-    @staticmethod
-    def merge(values):
-        merged: dict = {}
-        for val in values:
-            for point, cell in val.items():
-                old = merged.get(point)
-                if old is None or _word_of(cell) < _word_of(old):
-                    merged[point] = cell
-        hull = set(convex_hull(merged))
-        return {pt: cell for pt, cell in merged.items() if pt in hull}
+def _class_step(s1: str, s2: str, i: int, j: int, k: int) -> tuple[int, int]:
+    """(mismatch, indel) increment of the letter of state k entering (i, j)."""
+    if k == _S["M"]:
+        return int(s1[i - 1] != s2[j - 1]), 0
+    return 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +445,59 @@ class ParametricPolygon:
 
 def pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
     """Total weight of generating the two sequences: the sum over all
-    alignments of the alignment's parameter monomial, in O(n*m)."""
+    alignments of the alignment's parameter monomial, in O(n*m).  Below
+    the smallest double this is 0.0; :func:`log_pair_probability` stays
+    finite."""
     s1, s2 = _check_sequences(s1, s2)
-    return float(_grid_dp(_ProbGrid(p, s1, s2), len(s1), len(s2)))
+    mantissa, exponent = _scaled_probability(p, s1, s2)
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:  # above the largest double, as a float product
+        return math.inf
+
+
+def log_pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
+    """Natural log of :func:`pair_probability`, computed from the scaled
+    sweep, so it is finite even where the probability underflows."""
+    s1, s2 = _check_sequences(s1, s2)
+    mantissa, exponent = _scaled_probability(p, s1, s2)
+    if mantissa == 0.0:
+        return NEG_INF
+    return math.log(mantissa) + exponent * math.log(2.0)
 
 
 def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
     """Alignment with the largest log monomial; exact ties resolved by
     the lexicographically smallest word under D < I < M."""
     s1, s2 = _check_sequences(s1, s2)
+    n, m = len(s1), len(s2)
     with np.errstate(divide="ignore"):
-        log_trans = np.log(p.trans)
-        log_match = np.log(p.emit_match)
-        log_ins = np.log(p.emit_insert)
-        log_del = np.log(p.emit_delete)
+        trans = np.vstack((np.log(p.trans), np.zeros(3))).T[:, :, None]
+        tables = (np.log(p.emit_match), np.log(p.emit_insert), np.log(p.emit_delete))
+    # tight[k, i * (m + 1) + j]: bit s set when predecessor state s
+    # reaches the maximum at node (i, j, k)
+    tight = np.zeros((3, (n + 1) * (m + 1)), dtype=np.uint8)
 
-    def emit(state, i, j):
-        if state == "M":
-            return float(log_match[_NUC_INDEX[s1[i - 1]], _NUC_INDEX[s2[j - 1]]])
-        if state == "I":
-            return float(log_ins[_NUC_INDEX[s2[j - 1]]])
-        return float(log_del[_NUC_INDEX[s1[i - 1]]])
+    def step(d, lo, hi, src, emit):
+        cand = src + trans
+        cand += emit[:, None, :]
+        best = np.fmax.reduce(cand, axis=1)
+        ties = np.packbits(cand == best[:, None, :], axis=1, bitorder="little")
+        tight[:, d + lo * m:d + hi * m + 1:m] = ties[:, 0]
+        return best
 
-    def trans(a, b):
-        return float(log_trans[_S[a], _S[b]])
+    final = _sweep(tables, s1, s2, np.nan, 0.0, step)
+    score = np.fmax.reduce(final)
+    marked = _mark(tight, final == score, n, m)
+    tight_bytes = [row.tobytes() for row in tight]
 
-    score, cell = _grid_dp(_MaxPlusGrid(trans, emit), len(s1), len(s2))
-    return ScoredAlignment("".join(_word_of(cell)), float(score))
+    def enter(i, j, state, k):
+        cell = i * (m + 1) + j
+        if marked[cell] >> k & 1 and tight_bytes[k][cell] >> state & 1:
+            return k
+        return None
+
+    return ScoredAlignment(_walk(n, m, _START, enter), float(score))
 
 
 def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlignment:
@@ -471,10 +536,52 @@ def parametric_polygon(s1: str, s2: str) -> ParametricPolygon:
     lexicographically smallest witness alignment.
     """
     s1, s2 = _check_sequences(s1, s2)
-    final = _grid_dp(_PolygonGrid(s1, s2), len(s1), len(s2))
-    polygon = LatticePolygon.from_points(final.keys())
-    witnesses = tuple("".join(_word_of(final[v])) for v in polygon.vertices)
-    return ParametricPolygon(polygon=polygon, witnesses=witnesses)
+    n, m = len(s1), len(s2)
+    # hulls[i][j] maps each hull vertex of cell (i, j) to the bit mask of
+    # the letters (by state index) that reach it from a vertex of the
+    # letter's predecessor cell
+    hulls = [[None] * (m + 1) for _ in range(n + 1)]
+    hulls[0][0] = {(0, 0): 0}
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 and j == 0:
+                continue
+            cand: dict[tuple[int, int], int] = {}
+            for k, (di, dj) in enumerate(_MOVES):
+                if di <= i and dj <= j:
+                    dx, dy = _class_step(s1, s2, i, j, k)
+                    for x, y in hulls[i - di][j - dj]:
+                        q = (x + dx, y + dy)
+                        cand[q] = cand.get(q, 0) | 1 << k
+            hulls[i][j] = {v: cand[v] for v in convex_hull(cand)}
+    vertices = tuple(hulls[n][m])
+    # reach[i][j][u]: bit b set when node (i, j, u) lies on a path to the
+    # final vertex b
+    reach = [[{} for _ in range(m + 1)] for _ in range(n + 1)]
+    reach[n][m] = {v: 1 << b for b, v in enumerate(vertices)}
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            for (x, y), bits in reach[i][j].items():
+                letters = hulls[i][j][(x, y)]
+                for k, (di, dj) in enumerate(_MOVES):
+                    if letters >> k & 1:
+                        dx, dy = _class_step(s1, s2, i, j, k)
+                        pred = reach[i - di][j - dj]
+                        u = (x - dx, y - dy)
+                        pred[u] = pred.get(u, 0) | bits
+
+    def witness(b: int) -> str:
+        def enter(i, j, point, k):
+            dx, dy = _class_step(s1, s2, i, j, k)
+            nxt = (point[0] + dx, point[1] + dy)
+            return nxt if reach[i][j].get(nxt, 0) >> b & 1 else None
+
+        return _walk(n, m, (0, 0), enter)
+
+    return ParametricPolygon(
+        polygon=LatticePolygon(vertices),
+        witnesses=tuple(witness(b) for b in range(len(vertices))),
+    )
 
 
 def format_alignment(word: str, s1: str, s2: str) -> str:

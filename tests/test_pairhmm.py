@@ -17,6 +17,8 @@ from phylokit.pairhmm import (
     enumerate_alignments,
     format_alignment,
     is_alignment,
+    log_alignment_monomial,
+    log_pair_probability,
     pair_probability,
     parametric_polygon,
     score_alignment_basic,
@@ -136,6 +138,86 @@ def _reachable_points(s1: str, s2: str) -> set[tuple[int, int]]:
                 acc |= {(x, y + 1) for x, y in reach[(i - 1, j)]}
             reach[(i, j)] = acc
     return reach[(n, m)]
+
+
+_MOVES = {"M": (1, 1), "I": (0, 1), "D": (1, 0)}
+
+
+def _reference_viterbi(p: PairHmmParams, s1: str, s2: str) -> tuple[str, float]:
+    """Plain grid DP carrying, per cell and final state, the best log
+    score and the lexicographically smallest full word that reaches it.
+    Scores add in the order (prev + log trans) + log emit."""
+    order = {"M": 0, "I": 1, "D": 2}
+    lt, lm = np.log(p.trans), np.log(p.emit_match)
+    li, ld = np.log(p.emit_insert), np.log(p.emit_delete)
+    n, m = len(s1), len(s2)
+    best: dict = {}
+    for i in range(n + 1):
+        for j in range(m + 1):
+            for state, (di, dj) in _MOVES.items():
+                pi, pj = i - di, j - dj
+                if pi < 0 or pj < 0:
+                    continue
+                if state == "M":
+                    e = float(lm[_IDX[s1[i - 1]], _IDX[s2[j - 1]]])
+                elif state == "I":
+                    e = float(li[_IDX[s2[j - 1]]])
+                else:
+                    e = float(ld[_IDX[s1[i - 1]]])
+                if (pi, pj) == (0, 0):
+                    cands = [(e, state)]
+                else:
+                    cands = [
+                        (score + float(lt[order[prev], order[state]]) + e, word + state)
+                        for prev, (score, word) in best[(pi, pj)].items()
+                    ]
+                top = max(score for score, _ in cands)
+                word = min(w for score, w in cands if score == top)
+                best.setdefault((i, j), {})[state] = (top, word)
+    final = best[(n, m)].values()
+    top = max(score for score, _ in final)
+    return min(w for score, w in final if score == top), top
+
+
+def _reference_polygon(s1: str, s2: str) -> list[tuple[tuple[int, int], str]]:
+    """Plain grid DP carrying, per cell, each hull vertex of the reachable
+    (mismatch, indel) points with the lexicographically smallest full
+    word that reaches it; (vertex, witness) pairs of the final cell."""
+    n, m = len(s1), len(s2)
+    cells = {(0, 0): {(0, 0): ""}}
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 and j == 0:
+                continue
+            merged: dict = {}
+            for state, (di, dj) in _MOVES.items():
+                if i - di < 0 or j - dj < 0:
+                    continue
+                if state == "M":
+                    dx, dy = int(s1[i - 1] != s2[j - 1]), 0
+                else:
+                    dx, dy = 0, 1
+                for (x, y), word in cells[(i - di, j - dj)].items():
+                    point, cand = (x + dx, y + dy), word + state
+                    if point not in merged or cand < merged[point]:
+                        merged[point] = cand
+            cells[(i, j)] = {v: merged[v] for v in gift_wrap_hull(merged)}
+    return list(cells[(n, m)].items())
+
+
+def _tie_pairs(g, count: int) -> list[tuple[str, str]]:
+    """Random pairs and tandem-repeat pairs (period 1 to 3), lengths 11-30."""
+    pairs = []
+    for t in range(count):
+        n, m = (int(v) for v in g.integers(11, 31, size=2))
+        if t % 2:
+            unit = _random_dna(g, int(g.integers(1, 4)))
+            reps = unit * (max(n, m) // len(unit) + 2)
+            phase = int(g.integers(0, len(unit)))
+            pairs.append((reps[:n], reps[phase:phase + m]))
+        else:
+            pairs.append((_random_dna(g, n), _random_dna(g, m)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +346,57 @@ def test_pair_probability_input_validation():
         pair_probability(p, "ACXT", "ACGT")
 
 
+def test_log_pair_probability_matches_log_of_probability_to_size_6():
+    g = rng(72)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            p = _random_pair_params(g)
+            s1, s2 = _random_dna(g, n), _random_dna(g, m)
+            assert log_pair_probability(p, s1, s2) == pytest.approx(
+                math.log(pair_probability(p, s1, s2)), rel=1e-12
+            )
+
+
+def test_log_pair_probability_is_finite_where_probability_underflows():
+    g = rng(73)
+    p = _random_pair_params(g, mode="stochastic")
+    n = m = 400
+    s1, s2 = _random_dna(g, n), _random_dna(g, m)
+    assert pair_probability(p, s1, s2) == 0.0
+    value = log_pair_probability(p, s1, s2)
+    assert math.isfinite(value)
+    best = viterbi_alignment(p, s1, s2).score
+    tol = 1e-9 * (n + m)
+    assert best - tol <= value <= best + math.log(delannoy_count(n, m)) + tol
+
+
+def test_pair_probability_overflows_to_inf_with_a_finite_log():
+    p = scoring_scheme_params(ScoringScheme(mismatch=0.0, gap=0.0))
+    s = "A" * 400
+    assert pair_probability(p, s, s) == math.inf
+    value = log_pair_probability(p, s, s)
+    # every alignment weighs e^{#M} >= 1, and the all-M word weighs e^400
+    assert 400.0 < value <= 400.0 + math.log(delannoy_count(400, 400))
+
+
+def test_log_alignment_monomial_is_finite_on_a_long_word():
+    g = rng(74)
+    p = _random_pair_params(g, mode="stochastic")
+    n = m = 300
+    s1, s2 = _random_dna(g, n), _random_dna(g, m)
+    word, i, j = [], 0, 0
+    while i < n or j < m:
+        letters = [c for c, (di, dj) in _MOVES.items() if i + di <= n and j + dj <= m]
+        c = letters[int(g.integers(0, len(letters)))]
+        word.append(c)
+        i, j = i + _MOVES[c][0], j + _MOVES[c][1]
+    word = "".join(word)
+    assert alignment_monomial(p, word, s1, s2) == 0.0
+    value = log_alignment_monomial(p, word, s1, s2)
+    assert math.isfinite(value)
+    assert value == pytest.approx(_local_log_monomial(p, word, s1, s2), rel=1e-12)
+
+
 def test_monomial_degrees_for_2_3():
     # degree = #states + #transitions = 2 len(word) - 1: 9, 7, 5
     assert {2 * len(w) - 1 for w in WORDS_2_3} == {5, 7, 9}
@@ -328,6 +461,43 @@ def test_viterbi_word_is_valid_and_rescores_consistently():
         assert got.score == pytest.approx(rescored, rel=1e-10)
 
 
+def _integer_log_params(g) -> PairHmmParams:
+    """Integer log weights, with transition costs: exact ties whose
+    optimal paths enter a cell from different states."""
+    return PairHmmParams(
+        trans=np.exp(-g.integers(0, 4, size=(3, 3)).astype(float)),
+        emit_match=np.exp(np.where(np.eye(4, dtype=bool), 1.0, -1.0)),
+        emit_insert=np.exp(np.full(4, -float(g.integers(0, 3)))),
+        emit_delete=np.exp(np.full(4, -float(g.integers(0, 3)))),
+    )
+
+
+def test_viterbi_matches_reference_dp_beyond_enumeration_sizes():
+    g = rng(75)
+    for s1, s2 in _tie_pairs(g, 16):
+        for p in (
+            _random_pair_params(g),
+            scoring_scheme_params(ScoringScheme(mismatch=1.0, gap=1.0)),
+            _integer_log_params(g),
+        ):
+            word, score = _reference_viterbi(p, s1, s2)
+            got = viterbi_alignment(p, s1, s2)
+            assert got.word == word
+            assert got.score == score
+
+
+def test_viterbi_all_ones_model_at_200_gives_all_d_then_all_i():
+    p = PairHmmParams(
+        trans=np.ones((3, 3)),
+        emit_match=np.ones((4, 4)),
+        emit_insert=np.ones(4),
+        emit_delete=np.ones(4),
+    )
+    g = rng(76)
+    s1, s2 = _random_dna(g, 200), _random_dna(g, 200)
+    assert viterbi_alignment(p, s1, s2).word == "D" * 200 + "I" * 200
+
+
 # ---------------------------------------------------------------------------
 # scoring schemes
 
@@ -366,6 +536,16 @@ def test_scoring_scheme_equals_specialized_decoder():
         via_params = viterbi_alignment(scoring_scheme_params(scheme), s1, s2)
         assert direct.word == via_params.word
         assert direct.score == pytest.approx(via_params.score, rel=1e-9, abs=1e-9)
+
+
+def test_score_matches_reference_dp_beyond_enumeration_sizes():
+    g = rng(77)
+    for (s1, s2), (mis, gap) in zip(
+        _tie_pairs(g, 12), [(1.0, 2.0), (0.5, 1.0), (2.0, 1.5), (1.0, 1.0)] * 3
+    ):
+        scheme = ScoringScheme(mismatch=mis, gap=gap)
+        word, _ = _reference_viterbi(scoring_scheme_params(scheme), s1, s2)
+        assert score_alignment_basic(scheme, s1, s2).word == word
 
 
 def test_scoring_scheme_rejects_negative_penalties():
@@ -423,6 +603,13 @@ def test_polygon_matches_reachability_hull_up_to_length_10():
         for vertex, witness in zip(poly.polygon.vertices, poly.witnesses):
             assert is_alignment(witness, n, m)
             assert _class_point(witness, s1, s2) == vertex
+
+
+def test_polygon_matches_reference_dp_beyond_enumeration_sizes():
+    g = rng(78)
+    for s1, s2 in _tie_pairs(g, 8):
+        poly = parametric_polygon(s1, s2)
+        assert list(zip(poly.polygon.vertices, poly.witnesses)) == _reference_polygon(s1, s2)
 
 
 def test_polygon_vertex_count_is_trivially_below_delannoy():

@@ -291,7 +291,11 @@ def test_cli_align_subcommands(tmp_path, capsys):
         )
         == 0
     )
-    assert json.loads(capsys.readouterr().out)["probability"] > 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["probability"] > 0
+    assert payload["logProbability"] == pytest.approx(
+        math.log(payload["probability"]), rel=1e-12
+    )
 
     assert (
         main(
