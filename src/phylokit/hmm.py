@@ -160,17 +160,10 @@ def log_forward(h: HmmParams, obs) -> float:
     k^n hidden paths.  Rescales at every position, so it is safe far
     below double-precision underflow."""
     sigma = _check_observation(h, obs)
-    alpha = h.init * h.emit[:, sigma[0]]
-    log_prob = 0.0
-    for t in range(len(sigma)):
-        if t > 0:
-            alpha = (alpha @ h.trans) * h.emit[:, sigma[t]]
-        scale = alpha.sum()
-        if scale == 0.0:
-            return float("-inf")
-        log_prob += np.log(scale)
-        alpha = alpha / scale
-    return float(log_prob)
+    _, scales = _forward(h, h.emit.T[sigma][:, None, :])
+    if (scales == 0.0).any():
+        return float("-inf")
+    return float(np.log(scales).sum())
 
 
 def forward_probability(h: HmmParams, obs) -> float:
@@ -188,9 +181,7 @@ def viterbi_explanation(h: HmmParams, obs) -> Explanation:
         log_emit = np.log(h.emit)
         log_init = np.log(h.init)
     initial = tuple(log_init + log_emit[:, sigma[0]])
-    steps = tuple(
-        tuple(map(tuple, log_trans + log_emit[:, s][None, :])) for s in sigma[1:]
-    )
+    steps = log_trans[None] + log_emit[:, sigma[1:]].T[:, None, :]
     result = evaluate_chain(
         ChainSpec(initial=initial, steps=steps, labels=h.labels), "max-plus"
     )
@@ -199,24 +190,47 @@ def viterbi_explanation(h: HmmParams, obs) -> Explanation:
     return Explanation(states=result.path, log_score=float(result.value))
 
 
-def _forward_backward(h: HmmParams, sigma: np.ndarray):
-    """Scaled forward/backward tables and the sequence log-likelihood."""
-    n, k = len(sigma), h.k
-    alpha = np.empty((n, k))
-    scales = np.empty(n)
-    cur = h.init * h.emit[:, sigma[0]]
-    for t in range(n):
-        if t > 0:
-            cur = (alpha[t - 1] @ h.trans) * h.emit[:, sigma[t]]
-        scales[t] = cur.sum()
-        if scales[t] == 0.0:
-            raise ValueError("observation has zero probability under current model")
-        alpha[t] = cur / scales[t]
-    beta = np.empty((n, k))
+def _forward(h: HmmParams, factors: np.ndarray):
+    """Scaled forward recursion over a batch of observations.
+
+    ``factors[t, s, j]`` is the emission factor of state j at position t
+    of sequence s.  Returns the normalized forward table (same shape) and
+    the per-position scales (T, N), whose logs sum to the log-likelihood.
+    A zero scale marks a zero-probability prefix; that sequence's later
+    entries are nan.
+    """
+    alpha = np.empty_like(factors)
+    scales = np.empty((*factors.shape[:2], 1))
+    cur = h.init * factors[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, (a, s) in enumerate(zip(alpha, scales)):
+            if t > 0:
+                np.matmul(alpha[t - 1], h.trans, out=cur)
+                cur *= factors[t]
+            cur.sum(axis=1, keepdims=True, out=s)
+            np.divide(cur, s, out=a)
+    return alpha, scales[..., 0]
+
+
+def _pad(sigmas: list) -> tuple[np.ndarray, np.ndarray]:
+    """Observations as one (T, N) symbol array, padded with symbol 0 to
+    the longest length, and the (T, N) mask of positions inside each."""
+    lengths = np.array([len(s) for s in sigmas])
+    mask = np.arange(lengths.max())[:, None] < lengths
+    obs = np.zeros(mask.shape, dtype=np.int64)
+    obs.T[mask.T] = np.concatenate(sigmas)
+    return obs, mask
+
+
+def _backward(h: HmmParams, factors, scales, mask) -> np.ndarray:
+    """Scaled backward table of a padded batch; each sequence's pass
+    starts at 1 on its own last position."""
+    beta = np.empty_like(factors)
     beta[-1] = 1.0
-    for t in range(n - 2, -1, -1):
-        beta[t] = (h.trans @ (h.emit[:, sigma[t + 1]] * beta[t + 1])) / scales[t + 1]
-    return alpha, beta, scales, float(np.log(scales).sum())
+    for t in range(len(factors) - 2, -1, -1):
+        nxt = ((factors[t + 1] * beta[t + 1]) @ h.trans.T) / scales[t + 1, :, None]
+        beta[t] = np.where(mask[t + 1, :, None], nxt, 1.0)
+    return beta
 
 
 def baum_welch_train(
@@ -239,40 +253,34 @@ def baum_welch_train(
     if not data:
         raise ValueError("training data is empty")
     sigmas = [_check_observation(h0, obs) for obs in data]
+    obs, mask = _pad(sigmas)
+    k, l = h0.k, h0.l
+    onehot = (obs[..., None] == np.arange(l)).reshape(-1, l).astype(float)
+    inner = mask[1:, :, None]  # position t+1 is inside the same sequence
 
     params = h0
     trace: list[float] = []
-    for _ in range(max_iters):
-        k, l = params.k, params.l
-        trans_num = np.zeros((k, k))
-        trans_den = np.zeros(k)
-        emit_num = np.zeros((k, l))
-        emit_den = np.zeros(k)
-        init_acc = np.zeros(k)
-        total_ll = 0.0
-        for sigma in sigmas:
-            alpha, beta, scales, ll = _forward_backward(params, sigma)
-            total_ll += ll
-            gamma = alpha * beta
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            init_acc += gamma[0]
-            for t in range(len(sigma) - 1):
-                xi = (
-                    params.trans
-                    * np.outer(
-                        alpha[t],
-                        params.emit[:, sigma[t + 1]] * beta[t + 1],
-                    )
-                    / scales[t + 1]
-                )
-                trans_num += xi
-                trans_den += gamma[t]
-            for t, s in enumerate(sigma):
-                emit_num[:, s] += gamma[t]
-                emit_den += gamma[t]
-        trace.append(total_ll)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+    for it in range(max_iters + 1):
+        # past its end a sequence has emission factor 1
+        factors = np.where(mask[..., None], params.emit.T[obs], 1.0)
+        alpha, scales = _forward(params, factors)
+        if (scales[mask] == 0.0).any():
+            raise ValueError("observation has zero probability under current model")
+        trace.append(float(np.log(scales[mask]).sum()))
+        if it == max_iters or (len(trace) >= 2 and trace[-1] - trace[-2] < tol):
             return params, trace
+        beta = _backward(params, factors, scales, mask)
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=2, keepdims=True)
+        gamma *= mask[..., None]
+        after = factors[1:] * beta[1:] / scales[1:, :, None]
+        trans_num = params.trans * (
+            (alpha[:-1] * inner).reshape(-1, k).T @ after.reshape(-1, k)
+        )
+        trans_den = (gamma[:-1] * inner).sum(axis=(0, 1))
+        emit_num = gamma.reshape(-1, k).T @ onehot
+        emit_den = gamma.sum(axis=(0, 1))
+        init_acc = gamma[0].sum(axis=0)
 
         new_trans = params.trans.copy()
         visited = trans_den > 0
@@ -290,6 +298,3 @@ def baum_welch_train(
             mode="stochastic",
             labels=params.labels,
         )
-
-    trace.append(sum(_forward_backward(params, s)[3] for s in sigmas))
-    return params, trace

@@ -1,11 +1,11 @@
 """Computation semirings and the generic chain dynamic-programming evaluator.
 
 Three semirings drive one shared fold: ordinary probability arithmetic,
-max-plus (tropical) arithmetic with optional decision tags for arg-max
-reconstruction, and lattice polygons under (convex hull of union,
-Minkowski sum).  Summing a product of step weights over all state paths
-of a chain is the same algorithm in each case; only the (add, mul) pair
-changes.
+max-plus (tropical) arithmetic, and lattice polygons under (convex hull
+of union, Minkowski sum).  Summing a product of step weights over all
+state paths of a chain is the same algorithm in each case; only the
+(add, mul) pair changes.  Under max-plus the chain fold runs on a float
+array and recovers the arg-max path from integer backpointers.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
+
+import numpy as np
 
 Point = tuple[int, int]
 
@@ -199,20 +201,23 @@ def resolve_semiring(tag):
 # chain specifications and evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Weights of a k-state chain with ``len(steps) + 1`` positions.
 
     ``initial[i]`` is the weight of starting in state i (first emission
-    folded in by the caller); ``steps[t][i][j]`` is the weight of moving
+    folded in by the caller); ``steps[t, i, j]`` is the weight of moving
     from state i at position t to state j at position t+1.  All weights
     must live in the semiring the chain is later evaluated under.
-    ``labels`` fixes the total order used for max-plus tie-breaking;
-    it defaults to decimal state indices.
+    ``steps`` is an array of shape ``(n - 1, k, k)``: an ndarray is kept
+    as given, nested sequences are converted once (to floats for numbers,
+    to an object array for other semiring values).  ``labels`` fixes the
+    total order used for max-plus tie-breaking; it defaults to decimal
+    state indices.
     """
 
     initial: tuple
-    steps: tuple = ()
+    steps: np.ndarray = ()
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -220,12 +225,19 @@ class ChainSpec:
         if k == 0:
             raise ValueError("chain needs at least one state")
         object.__setattr__(self, "initial", tuple(self.initial))
-        steps = tuple(tuple(tuple(row) for row in w) for w in self.steps)
-        for t, w in enumerate(steps):
-            if len(w) != k or any(len(row) != k for row in w):
-                raise ValueError(
-                    f"step {t} is not a {k}x{k} matrix (got {len(w)} rows)"
-                )
+        steps = self.steps
+        if not isinstance(steps, np.ndarray):
+            steps = tuple(tuple(tuple(row) for row in w) for w in steps)
+            for t, w in enumerate(steps):
+                if len(w) != k or any(len(row) != k for row in w):
+                    raise ValueError(
+                        f"step {t} is not a {k}x{k} matrix (got {len(w)} rows)"
+                    )
+            steps = np.array(steps).reshape(len(steps), k, k)
+        elif steps.ndim != 3 or steps.shape[1:] != (k, k):
+            raise ValueError(
+                f"steps must have shape (n - 1, {k}, {k}), got {steps.shape}"
+            )
         object.__setattr__(self, "steps", steps)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(k)))
@@ -260,10 +272,10 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
     """
     sr = resolve_semiring(semiring)
     if sr is MaxPlusSemiring:
-        return _evaluate_chain_argmax(spec)
+        return _argmax_chain(spec)
     cur = list(spec.initial)
     k = spec.states
-    for w in spec.steps:
+    for w in spec.steps.tolist():
         cur = [
             reduce(sr.add, (sr.mul(cur[i], w[i][j]) for i in range(k)))
             for j in range(k)
@@ -271,46 +283,32 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
     return ChainResult(reduce(sr.add, cur))
 
 
-# Arg-max paths are stored as backward-linked (label, parent) cells so that
-# extending a path is O(1); ties materialize both candidates for a full
-# lexicographic comparison, which only costs when scores are exactly equal.
-
-
-def _materialize(cell) -> tuple[str, ...]:
-    out = []
-    while cell is not None:
-        out.append(cell[0])
-        cell = cell[1]
-    out.reverse()
-    return tuple(out)
-
-
-def _better(score_a, path_a, score_b, path_b) -> bool:
-    if score_a != score_b:
-        return score_a > score_b
-    return _materialize(path_a) < _materialize(path_b)
-
-
-def _evaluate_chain_argmax(spec: ChainSpec) -> ChainResult:
-    labels = spec.labels
+def _argmax_chain(spec: ChainSpec) -> ChainResult:
+    # Max-plus fold with integer backpointers.  ``order`` lists the states
+    # by the label sequence of their best prefix, smallest first; equal
+    # labels are told apart by state index, which refines the order without
+    # changing which label sequence is smallest.  Rows taken in that order,
+    # argmax picks the smallest prefix among tied predecessors, and the
+    # next order sorts by (position of the chosen prefix, label rank).
+    # Nothing is materialized until the one traceback at the end.
     k = spec.states
-    scores = [float(v) for v in spec.initial]
-    paths = [(labels[i], None) for i in range(k)]
-    for w in spec.steps:
-        new_scores = []
-        new_paths = []
-        for j in range(k):
-            best_s, best_p = NEG_INF, None
-            for i in range(k):
-                s = scores[i] + w[i][j]
-                p = (labels[j], paths[i])
-                if best_p is None or _better(s, p, best_s, best_p):
-                    best_s, best_p = s, p
-            new_scores.append(best_s)
-            new_paths.append(best_p)
-        scores, paths = new_scores, new_paths
-    best_s, best_p = scores[0], paths[0]
-    for j in range(1, k):
-        if _better(scores[j], paths[j], best_s, best_p):
-            best_s, best_p = scores[j], paths[j]
-    return ChainResult(best_s, _materialize(best_p))
+    by_label = sorted(range(k), key=lambda i: (spec.labels[i], i))
+    label_rank = np.empty(k, dtype=np.intp)
+    label_rank[by_label] = np.arange(k)
+    order = np.array(by_label)
+    steps = np.asarray(spec.steps, dtype=float)
+    back = np.empty((len(steps), k), dtype=np.intp)
+    scores = np.asarray(spec.initial, dtype=float)
+    for t, w in enumerate(steps):
+        cand = (scores[:, None] + w)[order]
+        pos = cand.argmax(axis=0)
+        scores = cand.max(axis=0)
+        back[t] = order[pos]
+        order = (pos * k + label_rank).argsort()
+    state = int(order[scores[order].argmax()])
+    value = float(scores[state])
+    path = [spec.labels[state]]
+    for row in reversed(back.tolist()):
+        state = row[state]
+        path.append(spec.labels[state])
+    return ChainResult(value, tuple(reversed(path)))

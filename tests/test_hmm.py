@@ -166,6 +166,17 @@ def test_viterbi_total_tie_gives_lexicographically_smallest_path():
     assert viterbi_explanation(named, [0, 1]).states == ("exon", "exon")
 
 
+def test_viterbi_all_tie_long_observation():
+    # resolving exact ties must not compare whole paths: a linear fold
+    # decodes this in well under a second
+    n = 10_000
+    obs = [i % 4 for i in range(n)]
+    expl = viterbi_explanation(uniform_params(4, 4), obs)
+    assert expl.states == ("0",) * n
+    q = math.log(1 / 4)
+    assert expl.log_score == pytest.approx(n * q + (n - 1) * q + q)
+
+
 def test_viterbi_single_state():
     h = HmmParams(trans=[[1.0]], emit=[[0.25, 0.75]], init=[1.0])
     expl = viterbi_explanation(h, [1, 0, 1])
@@ -281,6 +292,131 @@ def test_train_loglikelihood_monotone_and_deterministic():
     assert (rerun.trans == trained.trans).all()
     assert (rerun.emit == trained.emit).all()
     assert (rerun.init == trained.init).all()
+
+
+def _oracle_forward_backward(h: HmmParams, sigma):
+    n, k = len(sigma), h.k
+    alpha = np.empty((n, k))
+    scales = np.empty(n)
+    cur = h.init * h.emit[:, sigma[0]]
+    for t in range(n):
+        if t > 0:
+            cur = (alpha[t - 1] @ h.trans) * h.emit[:, sigma[t]]
+        scales[t] = cur.sum()
+        alpha[t] = cur / scales[t]
+    beta = np.empty((n, k))
+    beta[-1] = 1.0
+    for t in range(n - 2, -1, -1):
+        beta[t] = (h.trans @ (h.emit[:, sigma[t + 1]] * beta[t + 1])) / scales[t + 1]
+    return alpha, beta, scales, float(np.log(scales).sum())
+
+
+def _oracle_baum_welch(h0: HmmParams, data, max_iters, tol):
+    """Training one sequence and one position at a time."""
+    sigmas = [np.asarray(obs) for obs in data]
+    params = h0
+    trace = []
+    for _ in range(max_iters):
+        k, l = params.k, params.l
+        trans_num = np.zeros((k, k))
+        trans_den = np.zeros(k)
+        emit_num = np.zeros((k, l))
+        emit_den = np.zeros(k)
+        init_acc = np.zeros(k)
+        total_ll = 0.0
+        for sigma in sigmas:
+            alpha, beta, scales, ll = _oracle_forward_backward(params, sigma)
+            total_ll += ll
+            gamma = alpha * beta
+            gamma /= gamma.sum(axis=1, keepdims=True)
+            init_acc += gamma[0]
+            for t in range(len(sigma) - 1):
+                xi = (
+                    params.trans
+                    * np.outer(alpha[t], params.emit[:, sigma[t + 1]] * beta[t + 1])
+                    / scales[t + 1]
+                )
+                trans_num += xi
+                trans_den += gamma[t]
+            for t, s in enumerate(sigma):
+                emit_num[:, s] += gamma[t]
+                emit_den += gamma[t]
+        trace.append(total_ll)
+        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+            return params, trace
+        new_trans = params.trans.copy()
+        visited = trans_den > 0
+        new_trans[visited] = trans_num[visited] / trans_den[visited, None]
+        new_trans[visited] /= new_trans[visited].sum(axis=1, keepdims=True)
+        new_emit = params.emit.copy()
+        seen = emit_den > 0
+        new_emit[seen] = emit_num[seen] / emit_den[seen, None]
+        new_emit[seen] /= new_emit[seen].sum(axis=1, keepdims=True)
+        params = HmmParams(
+            trans=new_trans,
+            emit=new_emit,
+            init=init_acc / init_acc.sum(),
+            labels=params.labels,
+        )
+    trace.append(sum(_oracle_forward_backward(params, s)[3] for s in sigmas))
+    return params, trace
+
+
+def test_train_unequal_lengths_match_per_sequence_oracle():
+    g = rng(54)
+    for trial in range(6):
+        k, l = 2 + trial % 3, 3
+        h0 = _random_params(g, k, l)
+        if trial % 2:
+            # rows may sum to 1 within the validation tolerance; padding
+            # past a short sequence's end must not feed that drift back
+            drift = 1 + 5e-10 * (-1.0) ** np.arange(k)
+            h0 = HmmParams(trans=h0.trans * drift[:, None], emit=h0.emit, init=h0.init)
+        lengths = [1, 2, 7, 1, 30, 12][: 2 + trial]
+        data = [[int(x) for x in g.integers(0, l, size=n)] for n in lengths]
+        iters = 1 + trial
+        got, trace = baum_welch_train(h0, data, max_iters=iters, tol=0.0)
+        want, want_trace = _oracle_baum_welch(h0, data, iters, 0.0)
+        assert len(trace) == len(want_trace)
+        np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
+        for name in ("trans", "emit", "init"):
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(want, name), rtol=1e-12, atol=0
+            )
+
+
+def test_train_unvisited_state_keeps_its_rows():
+    # state 2 starts with weight 0 and no transition enters it
+    h0 = HmmParams(
+        trans=[[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]],
+        emit=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]],
+        init=[0.5, 0.5, 0.0],
+    )
+    data = [[0, 1, 2, 2, 1], [1], [2, 0]]
+    got, trace = baum_welch_train(h0, data, max_iters=5, tol=0.0)
+    want, want_trace = _oracle_baum_welch(h0, data, 5, 0.0)
+    np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
+    assert (got.trans[2] == h0.trans[2]).all()
+    assert (got.emit[2] == h0.emit[2]).all()
+    assert got.init[2] == 0.0
+    assert (got.trans[:2, 2] == 0.0).all()
+    for name in ("trans", "emit", "init"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=0
+        )
+
+
+def test_zero_probability_observation():
+    h = HmmParams(
+        trans=[[0.5, 0.5], [0.5, 0.5]],
+        emit=[[1.0, 0.0], [1.0, 0.0]],
+        init=[0.5, 0.5],
+    )
+    assert log_forward(h, [0, 1, 0]) == float("-inf")
+    assert log_forward(h, [1]) == float("-inf")
+    assert forward_probability(h, [0, 0, 1]) == 0.0
+    with pytest.raises(ValueError, match="zero probability under current model"):
+        baum_welch_train(h, [[0, 0, 0], [0, 1]])
 
 
 def test_train_input_validation():

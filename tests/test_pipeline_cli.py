@@ -387,3 +387,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "asymmetric" in capsys.readouterr().err
     assert main(["align", "polygon", "--seq1", "ACGT"]) == 2
     assert "seq1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_cli_resource_errors_exit_2(monkeypatch, capsys, error):
+    from phylokit import cli
+
+    def too_deep(args):
+        raise error("input nested too deep")
+
+    monkeypatch.setattr(cli, "_cmd_nj", too_deep)
+    assert main(["nj", "build", "--distances", _table3_path()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{error.__name__}: input nested too deep" in err

@@ -4,6 +4,7 @@ against path enumeration and gift-wrapping oracles."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,3 +300,60 @@ def test_convex_hull_matches_gift_wrapping_on_random_clouds():
     for _ in range(300):
         pts = [tuple(map(int, g.integers(-10, 11, size=2))) for _ in range(g.integers(1, 12))]
         assert convex_hull(pts) == gift_wrap_hull(pts)
+
+
+def _maxplus_by_enumeration(initial, steps, labels):
+    """Best score and the smallest label word among the paths reaching it,
+    scored by summing left to right as the fold does."""
+    k, n = len(initial), len(steps) + 1
+    paths = np.array(list(itertools.product(range(k), repeat=n)))
+    scores = initial[paths[:, 0]]
+    for t in range(n - 1):
+        scores = scores + steps[t, paths[:, t], paths[:, t + 1]]
+    best = scores.max()
+    word = min(tuple(labels[i] for i in p) for p in paths[scores == best])
+    return best, word
+
+
+def test_chain_maxplus_fold_matches_enumeration_on_dense_ties():
+    # integer log weights make exact ties common; permuted labels make
+    # label order differ from index order; -inf entries cut paths
+    g = rng(26)
+    names = ("a", "b", "c", "d")
+    for trial in range(120):
+        k = 1 + trial % 4
+        n = 1 + (trial // 4) % 7
+        labels = tuple(names[i] for i in g.permutation(k))
+        initial = g.integers(-2, 1, size=k).astype(float)
+        steps = g.integers(-3, 1, size=(n - 1, k, k)).astype(float)
+        initial[g.random(k) < 0.15] = -math.inf
+        steps[g.random(steps.shape) < 0.15] = -math.inf
+        best, word = _maxplus_by_enumeration(initial, steps, labels)
+        got = evaluate_chain(
+            ChainSpec(initial=tuple(initial), steps=steps, labels=labels),
+            "max-plus",
+        )
+        assert got.value == best
+        assert got.path == word
+
+
+def test_chain_array_steps_match_tuple_steps():
+    g = rng(27)
+    for trial in range(20):
+        k, n = 2 + trial % 3, 2 + trial % 5
+        initial = tuple(g.integers(-2, 1, size=k).astype(float))
+        steps = g.integers(-2, 1, size=(n - 1, k, k)).astype(float)
+        labels = tuple("xyzw"[i] for i in g.permutation(k))
+        as_array = ChainSpec(initial=initial, steps=steps, labels=labels)
+        as_tuple = ChainSpec(
+            initial=initial,
+            steps=tuple(tuple(map(tuple, w)) for w in steps.tolist()),
+            labels=labels,
+        )
+        assert as_array.steps is steps
+        assert (as_array.length, as_array.states) == (n, k)
+        for sr in ("max-plus", "prob"):
+            a, b = evaluate_chain(as_array, sr), evaluate_chain(as_tuple, sr)
+            assert (a.value, a.path) == (b.value, b.path)
+    with pytest.raises(ValueError):
+        ChainSpec(initial=(0.0, 0.0), steps=np.zeros((3, 2, 3)))
