@@ -160,7 +160,7 @@ def log_forward(h: HmmParams, obs) -> float:
     k^n hidden paths.  Rescales at every position, so it is safe far
     below double-precision underflow."""
     sigma = _check_observation(h, obs)
-    _, scales = _forward(h, h.emit.T[sigma][:, None, :])
+    _, scales = _forward(h, h.emit.T[sigma], [1] * len(sigma))
     if (scales == 0.0).any():
         return float("-inf")
     return float(np.log(scales).sum())
@@ -190,46 +190,68 @@ def viterbi_explanation(h: HmmParams, obs) -> Explanation:
     return Explanation(states=result.path, log_score=float(result.value))
 
 
-def _forward(h: HmmParams, factors: np.ndarray):
-    """Scaled forward recursion over a batch of observations.
+def _forward(h: HmmParams, factors: np.ndarray, counts: list[int]):
+    """Scaled forward recursion over a packed batch of observations.
 
-    ``factors[t, s, j]`` is the emission factor of state j at position t
-    of sequence s.  Returns the normalized forward table (same shape) and
-    the per-position scales (T, N), whose logs sum to the log-likelihood.
-    A zero scale marks a zero-probability prefix; that sequence's later
-    entries are nan.
+    The batch is sorted longest first and stored position-major:
+    position t holds ``counts[t]`` rows, one per sequence still running,
+    in sequence order, and ``factors[r, j]`` is the emission factor of
+    state j in row r.  Returns the normalized forward table (same shape)
+    and the per-row scales, whose logs sum to the log-likelihood.  A zero
+    scale marks a zero-probability prefix; that sequence's later rows are
+    nan.
     """
     alpha = np.empty_like(factors)
-    scales = np.empty((*factors.shape[:2], 1))
-    cur = h.init * factors[0]
+    scales = np.empty((len(factors), 1))
+    prev = start = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, (a, s) in enumerate(zip(alpha, scales)):
-            if t > 0:
-                np.matmul(alpha[t - 1], h.trans, out=cur)
-                cur *= factors[t]
-            cur.sum(axis=1, keepdims=True, out=s)
-            np.divide(cur, s, out=a)
-    return alpha, scales[..., 0]
+        for t, n in enumerate(counts):
+            a, s = alpha[start : start + n], scales[start : start + n]
+            if t == 0:
+                np.multiply(h.init, factors[:n], out=a)
+            else:
+                np.matmul(alpha[prev : prev + n], h.trans, out=a)
+                a *= factors[start : start + n]
+            a.sum(axis=1, keepdims=True, out=s)
+            np.divide(a, s, out=a)
+            prev, start = start, start + n
+    return alpha, scales[:, 0]
 
 
-def _pad(sigmas: list) -> tuple[np.ndarray, np.ndarray]:
-    """Observations as one (T, N) symbol array, padded with symbol 0 to
-    the longest length, and the (T, N) mask of positions inside each."""
+def _pack(sigmas: list) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Observations packed as :func:`_forward` reads them: the symbol of
+    every row, the rows per position, and for each row past position 0
+    the row of the same sequence one position earlier."""
     lengths = np.array([len(s) for s in sigmas])
-    mask = np.arange(lengths.max())[:, None] < lengths
-    obs = np.zeros(mask.shape, dtype=np.int64)
-    obs.T[mask.T] = np.concatenate(sigmas)
-    return obs, mask
+    order = np.argsort(-lengths, kind="stable")
+    counts = len(lengths) - np.searchsorted(
+        np.sort(lengths), np.arange(lengths.max()), side="right"
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.concatenate(
+        [offsets[: lengths[s]] + r for r, s in enumerate(order)]
+    )
+    obs = np.empty(offsets[-1], dtype=np.int64)
+    obs[rows] = np.concatenate([sigmas[s] for s in order])
+    later = np.arange(counts[0], offsets[-1])
+    position = np.repeat(np.arange(len(counts)), counts)[counts[0] :]
+    return obs, counts.tolist(), later - counts[position - 1]
 
 
-def _backward(h: HmmParams, factors, scales, mask) -> np.ndarray:
-    """Scaled backward table of a padded batch; each sequence's pass
+def _backward(h: HmmParams, factors, scales, counts) -> np.ndarray:
+    """Scaled backward table of a packed batch; each sequence's pass
     starts at 1 on its own last position."""
     beta = np.empty_like(factors)
-    beta[-1] = 1.0
-    for t in range(len(factors) - 2, -1, -1):
-        nxt = ((factors[t + 1] * beta[t + 1]) @ h.trans.T) / scales[t + 1, :, None]
-        beta[t] = np.where(mask[t + 1, :, None], nxt, 1.0)
+    stop = len(factors)
+    m = 0  # rows at the next position, which start at ``stop``
+    for n in reversed(counts):
+        b = beta[stop - n : stop]
+        if m:
+            nxt = slice(stop, stop + m)
+            np.matmul(factors[nxt] * beta[nxt], h.trans.T, out=b[:m])
+            b[:m] /= scales[nxt, None]
+        b[m:] = 1.0
+        stop, m = stop - n, n
     return beta
 
 
@@ -253,34 +275,29 @@ def baum_welch_train(
     if not data:
         raise ValueError("training data is empty")
     sigmas = [_check_observation(h0, obs) for obs in data]
-    obs, mask = _pad(sigmas)
-    k, l = h0.k, h0.l
-    onehot = (obs[..., None] == np.arange(l)).reshape(-1, l).astype(float)
-    inner = mask[1:, :, None]  # position t+1 is inside the same sequence
+    obs, counts, prev = _pack(sigmas)
+    onehot = (obs[:, None] == np.arange(h0.l)).astype(float)
+    firsts = counts[0]  # rows of position 0, one per sequence
 
     params = h0
     trace: list[float] = []
     for it in range(max_iters + 1):
-        # past its end a sequence has emission factor 1
-        factors = np.where(mask[..., None], params.emit.T[obs], 1.0)
-        alpha, scales = _forward(params, factors)
-        if (scales[mask] == 0.0).any():
+        factors = params.emit.T[obs]
+        alpha, scales = _forward(params, factors, counts)
+        if (scales == 0.0).any():
             raise ValueError("observation has zero probability under current model")
-        trace.append(float(np.log(scales[mask]).sum()))
+        trace.append(float(np.log(scales).sum()))
         if it == max_iters or (len(trace) >= 2 and trace[-1] - trace[-2] < tol):
             return params, trace
-        beta = _backward(params, factors, scales, mask)
+        beta = _backward(params, factors, scales, counts)
         gamma = alpha * beta
-        gamma /= gamma.sum(axis=2, keepdims=True)
-        gamma *= mask[..., None]
-        after = factors[1:] * beta[1:] / scales[1:, :, None]
-        trans_num = params.trans * (
-            (alpha[:-1] * inner).reshape(-1, k).T @ after.reshape(-1, k)
-        )
-        trans_den = (gamma[:-1] * inner).sum(axis=(0, 1))
-        emit_num = gamma.reshape(-1, k).T @ onehot
-        emit_den = gamma.sum(axis=(0, 1))
-        init_acc = gamma[0].sum(axis=0)
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        after = factors[firsts:] * beta[firsts:] / scales[firsts:, None]
+        trans_num = params.trans * (alpha[prev].T @ after)
+        trans_den = gamma[prev].sum(axis=0)
+        emit_num = gamma.T @ onehot
+        emit_den = gamma.sum(axis=0)
+        init_acc = gamma[:firsts].sum(axis=0)
 
         new_trans = params.trans.copy()
         visited = trans_den > 0

@@ -211,9 +211,10 @@ class ChainSpec:
     must live in the semiring the chain is later evaluated under.
     ``steps`` is an array of shape ``(n - 1, k, k)``: an ndarray is kept
     as given, nested sequences are converted once (to floats for numbers,
-    to an object array for other semiring values).  ``labels`` fixes the
-    total order used for max-plus tie-breaking; it defaults to decimal
-    state indices.
+    to an object array for other semiring values).  ``labels`` must be
+    distinct: they fix the total order used for max-plus tie-breaking.
+    They default to decimal state indices.  Specs compare and hash by
+    identity, since array-valued fields have no elementwise ``==``.
     """
 
     initial: tuple
@@ -243,6 +244,8 @@ class ChainSpec:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(k)))
         elif len(self.labels) != k:
             raise ValueError(f"expected {k} state labels, got {len(self.labels)}")
+        elif len(set(self.labels)) != k:
+            raise ValueError("state labels must be distinct")
 
     @property
     def states(self) -> int:
@@ -285,14 +288,14 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
 
 def _argmax_chain(spec: ChainSpec) -> ChainResult:
     # Max-plus fold with integer backpointers.  ``order`` lists the states
-    # by the label sequence of their best prefix, smallest first; equal
-    # labels are told apart by state index, which refines the order without
-    # changing which label sequence is smallest.  Rows taken in that order,
-    # argmax picks the smallest prefix among tied predecessors, and the
-    # next order sorts by (position of the chosen prefix, label rank).
-    # Nothing is materialized until the one traceback at the end.
+    # by the label sequence of their best prefix, smallest first; those
+    # sequences are distinct because they end in distinct labels.  Rows
+    # taken in that order, argmax picks the smallest prefix among tied
+    # predecessors, and the next order sorts by (position of the chosen
+    # prefix, label rank).  Nothing is materialized until the one
+    # traceback at the end.
     k = spec.states
-    by_label = sorted(range(k), key=lambda i: (spec.labels[i], i))
+    by_label = sorted(range(k), key=lambda i: spec.labels[i])
     label_rank = np.empty(k, dtype=np.intp)
     label_rank[by_label] = np.arange(k)
     order = np.array(by_label)

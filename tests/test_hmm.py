@@ -3,6 +3,7 @@ exhaustive arg-max with the same tie rule, and training monotonicity."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,36 @@ def test_train_unequal_lengths_match_per_sequence_oracle():
             np.testing.assert_allclose(
                 getattr(got, name), getattr(want, name), rtol=1e-12, atol=0
             )
+
+
+def test_train_skewed_lengths_match_per_sequence_oracle():
+    g = rng(56)
+    h0 = _random_params(g, 3, 4)
+    lengths = [4, 300, 1, 5, 2, 3] * 5 + [120]
+    data = [[int(x) for x in g.integers(0, 4, size=n)] for n in lengths]
+    got, trace = baum_welch_train(h0, data, max_iters=2, tol=0.0)
+    want, want_trace = _oracle_baum_welch(h0, data, 2, 0.0)
+    np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
+    for name in ("trans", "emit", "init"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=0
+        )
+
+
+def test_train_memory_follows_total_length():
+    # one long sequence among many short ones: padding every sequence to
+    # the longest would take 200 * 20,000 * 4 doubles (128 MB) per table
+    g = rng(57)
+    h0 = _random_params(g, 4, 4)
+    data = [g.integers(0, 4, size=10) for _ in range(200)]
+    data.append(g.integers(0, 4, size=20_000))
+    tracemalloc.start()
+    try:
+        baum_welch_train(h0, data, max_iters=1, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_train_unvisited_state_keeps_its_rows():

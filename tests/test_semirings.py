@@ -357,3 +357,19 @@ def test_chain_array_steps_match_tuple_steps():
             assert (a.value, a.path) == (b.value, b.path)
     with pytest.raises(ValueError):
         ChainSpec(initial=(0.0, 0.0), steps=np.zeros((3, 2, 3)))
+
+
+def test_chain_rejects_duplicate_labels():
+    # with states 0 and 1 both labelled "a", paths 1-0-0 and 0-2-0 below
+    # both score 0 and read ("a", "a", "a") and ("a", "b", "a"); ranking
+    # prefixes by position and label would wrongly return the second
+    inf = math.inf
+    w0 = np.array([[-1.0, -5.0, 0.0], [0.0, -5.0, -1.0], [-1.0, -5.0, -1.0]])
+    w1 = np.full((3, 3), -inf)
+    w1[:, 0] = 0.0
+    with pytest.raises(ValueError, match="distinct"):
+        ChainSpec(initial=(0.0, 0.0, 0.0), steps=np.stack([w0, w1]), labels=("a", "a", "b"))
+    spec = ChainSpec(initial=(0.0, 0.0, 0.0), steps=np.stack([w0, w1]), labels=("a", "c", "b"))
+    best, word = _maxplus_by_enumeration(np.zeros(3), spec.steps, spec.labels)
+    got = evaluate_chain(spec, "max-plus")
+    assert (got.value, got.path) == (best, word) == (0.0, ("a", "b", "a"))
