@@ -369,8 +369,9 @@ def test_train_unequal_lengths_match_per_sequence_oracle():
         k, l = 2 + trial % 3, 3
         h0 = _random_params(g, k, l)
         if trial % 2:
-            # rows may sum to 1 within the validation tolerance; padding
-            # past a short sequence's end must not feed that drift back
+            # rows may sum to 1 within the validation tolerance; a short
+            # sequence's backward pass must start on its own last position
+            # and not carry that drift in from a longer one
             drift = 1 + 5e-10 * (-1.0) ** np.arange(k)
             h0 = HmmParams(trans=h0.trans * drift[:, None], emit=h0.emit, init=h0.init)
         lengths = [1, 2, 7, 1, 30, 12][: 2 + trial]
