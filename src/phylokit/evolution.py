@@ -205,8 +205,13 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
 
     mats = _edge_matrices(tree)
     root = _pruning_root(tree)
-
-    def below(node: int, parent: int | None) -> np.ndarray:
+    # (node, parent) pairs, breadth first from the root; walked
+    # backwards, every node comes after all of its children
+    order = [(root, None)]
+    for node, parent in order:
+        order.extend((child, node) for child in tree.neighbors(node) if child != parent)
+    below: dict[int, np.ndarray] = {}
+    for node, parent in reversed(order):
         # a leaf contributes its observed-letter indicator; a leaf can
         # still have children when it serves as the root
         if tree.is_leaf(node):
@@ -216,10 +221,9 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
             out = np.ones(4)
         for child in tree.neighbors(node):
             if child != parent:
-                out = out * (mats[(node, child)] @ below(child, node))
-        return out
-
-    return float(np.full(4, 0.25) @ below(root, None))
+                out = out * (mats[(node, child)] @ below.pop(child))
+        below[node] = out
+    return float(np.full(4, 0.25) @ below[root])
 
 
 def all_same_probability(tree: PhyloTree) -> tuple[float, float]:
@@ -375,8 +379,8 @@ def simulate_leaf_sequences(
         out = src.copy()
         out[mutated] = (src[mutated] + offset[mutated]) % 4
         states[child] = out
-    lookup = np.array(list(NUCLEOTIDES))
+    letters = np.frombuffer(NUCLEOTIDES.encode("ascii"), dtype=np.uint8)
     return {
-        tree.label_of(leaf): "".join(lookup[states[leaf]])
+        tree.label_of(leaf): letters[states[leaf]].tobytes().decode("ascii")
         for leaf in tree.leaves()
     }

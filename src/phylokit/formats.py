@@ -80,31 +80,33 @@ def parse_newick(text: str) -> PhyloTree:
     """
     parser = _NewickParser(text)
     tree = PhyloTree()
-
-    def subtree() -> int:
+    # internal nodes whose closing parenthesis is still ahead
+    open_nodes: list[int] = []
+    while True:
         if parser.peek() == "(":
             parser.take("(")
-            node = tree.add_node()
-            while True:
-                child = subtree()
-                length = parser.length()
-                tree.add_edge(node, child, max(length, 0.0))
-                if parser.peek() == ",":
-                    parser.take(",")
-                    continue
-                parser.take(")")
-                break
-            parser.name()  # optional internal label, discarded
-            return node
+            open_nodes.append(tree.add_node())
+            continue
         label = parser.name()
         if not label:
             parser.error("expected a leaf label")
         try:
-            return tree.add_node(label=label)
+            node = tree.add_node(label=label)
         except ValueError as exc:
             parser.error(str(exc))
-
-    root = subtree()
+        # attach the finished subtree, closing every group it ends
+        while open_nodes:
+            length = parser.length()
+            tree.add_edge(open_nodes[-1], node, max(length, 0.0))
+            if parser.peek() == ",":
+                parser.take(",")
+                break
+            parser.take(")")
+            parser.name()  # optional internal label, discarded
+            node = open_nodes.pop()
+        else:
+            break
+    root = node
     parser.length()  # tolerate a stray root length
     parser._skip_ws()
     if parser.pos < len(parser.text):
@@ -139,25 +141,45 @@ def emit_newick(tree: PhyloTree, decimals: int = 6) -> str:
 
     first = collapsed.node_of(taxa[0])
     root = next(iter(collapsed.neighbors(first)))
-
-    def render(node: int, parent: int) -> tuple[str, str]:
+    # (node, parent) pairs, breadth first from the root
+    order = [(root, None)]
+    for node, parent in order:
+        order.extend((c, node) for c in collapsed.neighbors(node) if c != parent)
+    # smallest taxon below each node, children before parents
+    smallest: dict[int, str] = {}
+    for node, parent in reversed(order):
         if collapsed.is_leaf(node):
-            label = collapsed.label_of(node)
-            return label, label
-        parts = sorted(
-            render(child, node) + (collapsed.edge_length(node, child),)
-            for child in collapsed.neighbors(node)
-            if child != parent
-        )
-        text = ",".join(f"{t}:{fmt % ln}" for _, t, ln in parts)
-        return parts[0][0], f"({text})"
+            smallest[node] = collapsed.label_of(node)
+        else:
+            smallest[node] = min(
+                smallest[c] for c in collapsed.neighbors(node) if c != parent
+            )
 
-    parts = sorted(
-        render(child, root) + (collapsed.edge_length(root, child),)
-        for child in collapsed.neighbors(root)
-    )
-    body = ",".join(f"{t}:{fmt % ln}" for _, t, ln in parts)
-    return f"({body});"
+    out: list[str] = []
+    # text still to write, last first: strings, and (node, parent) pairs
+    # standing for a whole subtree
+    todo: list = [";", (root, None)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent = item
+        if collapsed.is_leaf(node):
+            out.append(collapsed.label_of(node))
+            continue
+        children = sorted(
+            (c for c in collapsed.neighbors(node) if c != parent),
+            key=smallest.__getitem__,
+        )
+        todo.append(")")
+        for i, child in enumerate(reversed(children)):
+            if i:
+                todo.append(",")
+            todo.append(f":{fmt % collapsed.edge_length(node, child)}")
+            todo.append((child, node))
+        out.append("(")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

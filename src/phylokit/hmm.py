@@ -56,8 +56,9 @@ class HmmParams:
         )
         if init.shape != (k,):
             raise ValueError(f"initial vector must have length {k}")
-        if (trans < 0).any() or (emit < 0).any() or (init < 0).any():
-            raise ValueError("parameters must be non-negative")
+        for arr in (trans, emit, init):
+            if not (np.isfinite(arr) & (arr >= 0)).all():
+                raise ValueError("parameters must be finite and non-negative")
         if np.abs(trans.sum(axis=1) - 1.0).max() > _ROW_TOL:
             raise ValueError("transition rows must sum to 1")
         if np.abs(emit.sum(axis=1) - 1.0).max() > _ROW_TOL:

@@ -33,8 +33,12 @@ DEFAULT_GENOME_LENGTH = 2.8e9
 
 REPORT_SPEC_VERSION = "1.0"
 
-_VALID_ALIGNED = set("ACGTN-")
-_VALID_BASES = set("ACGT")
+# deleting these leaves only the characters an alignment may not hold
+_DELETE_VALID = str.maketrans("", "", "ACGTN-")
+
+# ASCII code -> is a plain base (A, C, G, T)
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[np.frombuffer(b"ACGT", dtype=np.uint8)] = True
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,10 @@ class AlignedFasta:
                 raise ValueError(
                     f"record {name!r} has length {len(seq)}, expected {width}"
                 )
-            bad = set(seq) - _VALID_ALIGNED
+            bad = seq.translate(_DELETE_VALID)
             if bad:
                 raise ValueError(
-                    f"record {name!r} contains invalid characters {sorted(bad)}"
+                    f"record {name!r} contains invalid characters {sorted(set(bad))}"
                 )
         object.__setattr__(self, "records", records)
 
@@ -82,6 +86,24 @@ class AlignedFasta:
         raise KeyError(f"no record named {taxon!r}")
 
 
+def _site_counts(codes: np.ndarray, plain: np.ndarray, i: int):
+    """(usable, differing) site counts of row ``i`` of an encoded
+    alignment against each later row.  ``plain`` marks the plain-base
+    cells of ``codes``."""
+    usable = plain[i + 1:] & plain[i]
+    differ = codes[i + 1:] != codes[i]
+    differ &= usable
+    return np.count_nonzero(usable, axis=1), np.count_nonzero(differ, axis=1)
+
+
+def _encode(seqs: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(records x sites) ASCII codes of equal-length sequences, and the
+    mask of their plain-base cells."""
+    codes = np.frombuffer("".join(seqs).encode("ascii"), dtype=np.uint8)
+    codes = codes.reshape(len(seqs), -1)
+    return codes, _PLAIN[codes]
+
+
 def pairwise_site_differences(
     alignment: AlignedFasta, taxon1: str, taxon2: str
 ) -> tuple[int, int]:
@@ -97,11 +119,8 @@ def pairwise_site_differences(
         raise ValueError(str(exc)) from None
     if len(s1) != len(s2):
         raise ValueError("records have different lengths")
-    a = np.frombuffer(s1.encode("ascii"), dtype=np.uint8)
-    b = np.frombuffer(s2.encode("ascii"), dtype=np.uint8)
-    bases = np.frombuffer("ACGT".encode("ascii"), dtype=np.uint8)
-    usable = np.isin(a, bases) & np.isin(b, bases)
-    return int(usable.sum()), int((a[usable] != b[usable]).sum())
+    usable, differing = _site_counts(*_encode([s1, s2]), 0)
+    return int(usable[0]), int(differing[0])
 
 
 def find_motif(sequence: str, motif: str) -> list[int]:
@@ -228,10 +247,12 @@ def distances_from_alignment(alignment: AlignedFasta):
     order.  A saturated pair (too many differences for a finite
     estimate) is reported by name."""
     taxa = alignment.taxa
+    seqs = dict(alignment.records)
+    codes, plain = _encode([seqs[t] for t in taxa])
     pairwise = []
     for i, a in enumerate(taxa):
-        for b in taxa[i + 1:]:
-            n, k = pairwise_site_differences(alignment, a, b)
+        usable, differing = _site_counts(codes, plain, i)
+        for b, n, k in zip(taxa[i + 1:], usable.tolist(), differing.tolist()):
             try:
                 dist = jc_distance(n, k)
             except SaturationError as exc:
@@ -241,12 +262,9 @@ def distances_from_alignment(alignment: AlignedFasta):
                     taxon_a=a, taxon_b=b, sites=n, differences=k, distance=dist
                 )
             )
-    n_taxa = len(taxa)
-    values = np.zeros((n_taxa, n_taxa))
-    index = {t: i for i, t in enumerate(taxa)}
-    for p in pairwise:
-        values[index[p.taxon_a], index[p.taxon_b]] = p.distance
-        values[index[p.taxon_b], index[p.taxon_a]] = p.distance
+    values = np.zeros((len(taxa), len(taxa)))
+    rows, cols = np.triu_indices(len(taxa), 1)
+    values[rows, cols] = values[cols, rows] = [p.distance for p in pairwise]
     return pairwise, DissimilarityMap(taxa=taxa, values=values)
 
 

@@ -38,8 +38,8 @@ class DissimilarityMap:
         n = len(taxa)
         if values.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} table, got {values.shape}")
-        if np.isnan(values).any():
-            raise ValueError("dissimilarity values must not be NaN")
+        if not np.isfinite(values).all():
+            raise ValueError("dissimilarity values must be finite (not NaN or inf)")
         if np.abs(np.diag(values)).max(initial=0.0) > 1e-12:
             raise ValueError("diagonal must be zero")
         asym = np.abs(values - values.T)
@@ -86,6 +86,12 @@ class FourPointVerdict:
         return self.ok
 
 
+def _sorted_values(delta: DissimilarityMap) -> tuple[list[str], np.ndarray]:
+    """Taxa in sorted order and the value table permuted to match."""
+    order = sorted(range(delta.size), key=delta.taxa.__getitem__)
+    return [delta.taxa[i] for i in order], delta.values[np.ix_(order, order)]
+
+
 def check_metric(delta: DissimilarityMap) -> MetricVerdict:
     """Non-negativity plus the triangle inequality.
 
@@ -93,33 +99,47 @@ def check_metric(delta: DissimilarityMap) -> MetricVerdict:
     z = x makes a negative entry a violation too.  The lexicographically
     first violating triple is reported.
     """
-    taxa = sorted(delta.taxa)
-    for x in taxa:
-        for y in taxa:
-            if y == x:
-                continue
-            for z in taxa:
-                if z == y:
-                    continue
-                if delta.get(x, z) > delta.get(x, y) + delta.get(y, z) + 1e-15:
-                    return MetricVerdict(False, (x, y, z))
+    taxa, dist = _sorted_values(delta)
+    n = len(taxa)
+    for x in range(n):
+        # bad[y, z]: d(x,z) > d(x,y) + d(y,z), for y != x and z != y
+        bad = dist[x][None, :] > (dist[x][:, None] + dist) + 1e-15
+        bad[x] = False
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            y, z = divmod(int(bad.argmax()), n)
+            return MetricVerdict(False, (taxa[x], taxa[y], taxa[z]))
     return MetricVerdict(True)
 
 
 def check_four_point(delta: DissimilarityMap) -> FourPointVerdict:
     """For every four taxa, the two largest of the three pair-sums must
-    agree (within a slack of 1e-9).  Vacuously true below four taxa."""
-    taxa = sorted(delta.taxa)
-    for a, b, c, d in combinations(taxa, 4):
-        sums = sorted(
-            (
-                delta.get(a, b) + delta.get(c, d),
-                delta.get(a, c) + delta.get(b, d),
-                delta.get(a, d) + delta.get(b, c),
+    agree (within a slack of 1e-9).  Vacuously true below four taxa.
+    The lexicographically first violating quartet is reported."""
+    taxa, dist = _sorted_values(delta)
+    n = len(taxa)
+    # every pair c < d in row-major order; first[b] is where c > b begins
+    cs, ds = np.triu_indices(n, 1)
+    cd = dist[cs, ds]
+    first = np.cumsum(np.arange(n - 1, 0, -1))
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            c, d = cs[first[b]:], ds[first[b]:]
+            sums = np.stack(
+                (
+                    dist[a, b] + cd[first[b]:],
+                    dist[a, c] + dist[b, d],
+                    dist[a, d] + dist[b, c],
+                ),
+                axis=1,
             )
-        )
-        if sums[2] - sums[1] > _FOUR_POINT_SLACK:
-            return FourPointVerdict(False, (a, b, c, d))
+            sums.sort(axis=1)
+            bad = sums[:, 2] - sums[:, 1] > _FOUR_POINT_SLACK
+            if bad.any():
+                k = int(bad.argmax())
+                return FourPointVerdict(
+                    False, (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]])
+                )
     return FourPointVerdict(True)
 
 
@@ -247,12 +267,6 @@ def cherries(tree: PhyloTree) -> set[frozenset[str]]:
 # neighbor joining
 
 
-def _nj_q_matrix(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    r = values.sum(axis=1)
-    return (n - 2) * values - r[:, None] - r[None, :]
-
-
 def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
     """Agglomerate the pair minimizing (n-2) d(i,j) - r_i - r_j, assign
     cherry edge lengths by the divergence-corrected formula, and reduce
@@ -284,17 +298,18 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
             length = 0.0
         tree.add_edge(node, hub, length)
 
+    # lower[:m, :m] masks the diagonal and below of an m x m table; the
+    # criterion is not bit-symmetric, so only a < b is read
+    lower = np.tri(n, dtype=bool)
     while len(nodes) > 3:
         m = len(nodes)
-        q = _nj_q_matrix(values)
-        best = None
-        for a in range(m):
-            for b in range(a + 1, m):
-                cand = (q[a, b], tuple(sorted((keys[a], keys[b]))))
-                if best is None or cand < best[0]:
-                    best = (cand, a, b)
-        _, a, b = best
         r = values.sum(axis=1)
+        q = (m - 2) * values - r[:, None] - r[None, :]
+        np.copyto(q, np.inf, where=lower[:m, :m])
+        a, b = min(
+            (divmod(int(t), m) for t in np.flatnonzero(q == q.min())),
+            key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
+        )
         dab = values[a, b]
         la = 0.5 * dab + (r[a] - r[b]) / (2.0 * (m - 2))
         lb = dab - la
@@ -304,12 +319,11 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
 
         merged = 0.5 * (values[a] + values[b] - dab)
         keep = [x for x in range(m) if x not in (a, b)]
-        values = np.vstack(
-            [
-                np.hstack([values[np.ix_(keep, keep)], merged[keep, None]]),
-                np.hstack([merged[keep], [0.0]]),
-            ]
-        )
+        reduced = np.empty((m - 1, m - 1))
+        reduced[:-1, :-1] = values[np.ix_(keep, keep)]
+        reduced[-1, :-1] = reduced[:-1, -1] = merged[keep]
+        reduced[-1, -1] = 0.0
+        values = reduced
         nodes = [nodes[x] for x in keep] + [hub]
         keys = [keys[x] for x in keep] + [min(keys[a], keys[b])]
 

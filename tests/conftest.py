@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from phylokit.trees import PhyloTree
 from phylokit.treespace import random_binary_tree
 
 
@@ -58,6 +59,22 @@ def random_tree(seed: int, n: int, min_length=0.05, max_length=1.0):
     taxa = [f"t{i:02d}" for i in range(n)]
     return random_binary_tree(taxa, rng(seed), min_length, max_length)
 
+
+def caterpillar(n: int, seed: int) -> PhyloTree:
+    """Caterpillar on n leaves c00000, c00001, ...: a path of n - 2
+    internal nodes, built first so that node 0 is one end of it, with
+    the first two leaves on that end, the last two on the other and one
+    leaf on each node between.  Branch lengths are drawn from [0.001,
+    0.01]."""
+    g = rng(seed)
+    tree = PhyloTree()
+    spine = [tree.add_node() for _ in range(n - 2)]
+    for a, b in zip(spine, spine[1:]):
+        tree.add_edge(a, b, float(g.uniform(0.001, 0.01)))
+    hosts = [spine[0]] + spine + [spine[-1]]
+    for i, host in enumerate(hosts):
+        tree.add_edge(host, tree.add_node(label=f"c{i:05d}"), float(g.uniform(0.001, 0.01)))
+    return tree
 
 @pytest.fixture
 def fixed_rng():

@@ -27,7 +27,7 @@ from phylokit.evolution import (
 )
 from phylokit.trees import PhyloTree
 
-from conftest import random_tree, rng
+from conftest import caterpillar, random_tree, rng
 
 NUC = "ACGT"
 
@@ -256,6 +256,34 @@ def test_all_same_probability_degenerate_trees():
     _, p_any = all_same_probability(saturated)
     assert p_any == pytest.approx(0.25, rel=1e-9)
 
+
+def test_all_same_probability_on_a_deep_caterpillar_matches_the_spine():
+    n = 10_000
+    tree = caterpillar(n, 3200)
+
+    def edge(u, v):
+        pi = 0.25 * (1.0 - math.exp(-4.0 * tree.edge_length(u, v) / 3.0))
+        return 1.0 - 3.0 * pi, pi
+
+    def leaf(i):
+        label = f"c{i:05d}"
+        node = tree.node_of(label)
+        return edge(node, next(iter(tree.neighbors(node))))
+
+    # x, y: probability that every leaf so far reads A, given that the
+    # current spine node holds A, or a given other letter
+    spine = list(range(n - 2))
+    (t0, p0), (t1, p1) = leaf(0), leaf(1)
+    x, y = t0 * t1, p0 * p1
+    for k, (u, v) in enumerate(zip(spine, spine[1:])):
+        theta, pi = edge(u, v)
+        x, y = theta * x + 3.0 * pi * y, pi * x + (theta + 2.0 * pi) * y
+        for i in [k + 2] + ([n - 1] if v == spine[-1] else []):
+            theta, pi = leaf(i)
+            x, y = x * theta, y * pi
+    p_single, p_any = all_same_probability(tree)
+    assert p_single == pytest.approx(0.25 * (x + 3.0 * y), rel=1e-9)
+    assert p_any == 4.0 * p_single
 
 # ---------------------------------------------------------------------------
 # the three-leaf Fourier invariant

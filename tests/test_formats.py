@@ -29,7 +29,7 @@ from phylokit.treespace import (
     tree_metric,
 )
 
-from conftest import random_tree
+from conftest import caterpillar, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,14 @@ def test_round_trip_random_trees():
         assert want.taxa == got.taxa
         assert np.abs(want.values - got.values).max() < 1e-5  # 6-decimal emission
 
+
+def test_deep_caterpillar_round_trips_without_recursion():
+    tree = caterpillar(10_000, 3100)
+    text = emit_newick(tree)
+    assert text.startswith("(c00000:") and text.count("(") == 9_998
+    again = parse_newick(text)
+    assert len(again.taxa) == 10_000
+    assert emit_newick(again) == text
 
 def test_emit_two_leaf_tree():
     tree = parse_newick("(a:1,b:2);")

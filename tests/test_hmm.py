@@ -477,6 +477,17 @@ def test_params_validation():
         HmmParams(trans=np.eye(2), emit=np.full((2, 2), 0.5), init=[0.5, 0.5], mode="x")
 
 
+def test_params_reject_non_finite_entries():
+    good = {"trans": np.full((2, 2), 0.5), "emit": np.full((2, 2), 0.5), "init": [0.5, 0.5]}
+    for field in good:
+        for bad in (np.nan, np.inf):
+            values = np.array(good[field], dtype=float)
+            values.flat[0] = bad
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                HmmParams(**(good | {field: values}))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        HmmParams(trans=[[np.nan, np.nan], [0.5, 0.5]], emit=good["emit"], init=good["init"])
+
 def test_params_dict_round_trip():
     g = rng(50)
     h = _random_params(g, 2, 4)

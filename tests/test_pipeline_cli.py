@@ -401,3 +401,108 @@ def test_cli_resource_errors_exit_2(monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{error.__name__}: input nested too deep" in err
+
+
+# ---------------------------------------------------------------------------
+# array site counting against the per-pair loop it replaced
+
+
+def _loop_site_differences(s1, s2):
+    import numpy as np
+
+    a = np.frombuffer(s1.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(s2.encode("ascii"), dtype=np.uint8)
+    bases = np.frombuffer(b"ACGT", dtype=np.uint8)
+    usable = np.isin(a, bases) & np.isin(b, bases)
+    return int(usable.sum()), int((a[usable] != b[usable]).sum())
+
+
+def _masked_alignment(seed, taxa, sites, masked):
+    """Simulated records with a share ``masked`` of cells replaced by a
+    gap or N, plus one all-gap column; records given out of order."""
+    import numpy as np
+
+    from conftest import random_tree, rng
+
+    g = rng(seed)
+    seqs = simulate_leaf_sequences(random_tree(seed, taxa, 0.01, 0.2), sites, seed)
+    records = []
+    for name in g.permutation(sorted(seqs)):
+        row = np.frombuffer(seqs[name].encode("ascii"), dtype=np.uint8).copy()
+        hit = g.random(sites) < masked
+        row[hit] = g.choice(np.frombuffer(b"-N", dtype=np.uint8), int(hit.sum()))
+        row[sites // 2] = ord("-")
+        records.append((str(name), row.tobytes().decode("ascii")))
+    return AlignedFasta(records=tuple(records))
+
+
+def test_distances_from_alignment_match_the_pair_loop():
+    import numpy as np
+
+    from phylokit.evolution import jc_distance
+
+    for seed, (taxa, sites, masked) in enumerate(
+        [(4, 50, 0.3), (9, 700, 0.1), (13, 2000, 0.25), (17, 1500, 0.02)]
+    ):
+        aln = _masked_alignment(9800 + seed, taxa, sites, masked)
+        pairwise, dm = distances_from_alignment(aln)
+        names = aln.taxa
+        want = []
+        values = np.zeros((taxa, taxa))
+        for i, a in enumerate(names):
+            for j in range(i + 1, taxa):
+                b = names[j]
+                n, k = _loop_site_differences(aln.sequence(a), aln.sequence(b))
+                assert pairwise_site_differences(aln, a, b) == (n, k)
+                want.append({"pair": [a, b], "n": n, "k": k, "distance": jc_distance(n, k)})
+                values[i, j] = values[j, i] = want[-1]["distance"]
+        assert json.dumps([p.to_dict() for p in pairwise]) == json.dumps(want)
+        assert dm.taxa == names
+        assert dm.values.tobytes() == ((values + values.T) / 2.0).tobytes()
+
+
+def test_distances_from_alignment_memory_stays_near_the_alignment_size():
+    import tracemalloc
+
+    from conftest import random_tree
+
+    taxa, sites = 20, 100_000
+    seqs = simulate_leaf_sequences(random_tree(9900, taxa, 0.01, 0.1), sites, 1)
+    aln = AlignedFasta(records=tuple(sorted(seqs.items())))
+    tracemalloc.start()
+    try:
+        distances_from_alignment(aln)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * taxa * sites
+
+
+def test_cli_pipeline_rejects_infinite_distances(tmp_path, capsys):
+    path = tmp_path / "inf.phy"
+    path.write_text("3\na 0 1 inf\nb 1 0 1\nc inf 1 0\n")
+    assert main(["pipeline", "--distances", str(path)]) == 2
+    assert "inf" in capsys.readouterr().err
+
+
+def test_simulate_and_rebuild_script_runs():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import phylokit
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "simulate_and_rebuild.py"
+    src = str(Path(phylokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script), "--sites", "2000", "--seeds", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "recovered" in done.stdout

@@ -515,3 +515,203 @@ def test_random_binary_trees_are_binary():
             tree.degree(v) for v in tree.nodes() if not tree.is_leaf(v)
         }
         assert internal_degrees == {3}
+
+
+# ---------------------------------------------------------------------------
+# array scans against copies of the plain loops they replaced
+
+
+def _loop_check_metric(delta):
+    taxa = sorted(delta.taxa)
+    for x in taxa:
+        for y in taxa:
+            if y == x:
+                continue
+            for z in taxa:
+                if z == y:
+                    continue
+                if delta.get(x, z) > delta.get(x, y) + delta.get(y, z) + 1e-15:
+                    return (x, y, z)
+    return None
+
+
+def _loop_check_four_point(delta):
+    from itertools import combinations
+
+    taxa = sorted(delta.taxa)
+    for a, b, c, d in combinations(taxa, 4):
+        sums = sorted(
+            (
+                delta.get(a, b) + delta.get(c, d),
+                delta.get(a, c) + delta.get(b, d),
+                delta.get(a, d) + delta.get(b, c),
+            )
+        )
+        if sums[2] - sums[1] > 1e-9:
+            return (a, b, c, d)
+    return None
+
+
+def _symmetric(g, n, draw):
+    upper = np.triu(draw(g, (n, n)), 1)
+    return upper + upper.T
+
+
+def _shuffled_taxa(g, n):
+    # declared order differs from sorted order, so the scans must permute
+    return tuple(f"x{int(i):02d}" for i in g.permutation(n))
+
+
+def _witness_cases():
+    """(name, DissimilarityMap) over the input families the scans must
+    agree on: exact ties, entries on the slack boundaries, negative
+    entries, perturbed tree metrics and plain noise."""
+    slack = 1e-9
+    families = {
+        "uniform": lambda g, s: g.uniform(0.0, 1.0, s),
+        "integer": lambda g, s: g.integers(0, 4, s).astype(float),
+        "negative": lambda g, s: g.integers(-1, 4, s).astype(float),
+        # pair-sums of 0, slack and 2 slack: differences of exactly the slack
+        "four_point_slack": lambda g, s: g.choice([0.0, slack], s, p=[0.7, 0.3]),
+        # exact multiples of 2^-32: differences just below and above it
+        "four_point_grid": lambda g, s: g.integers(0, 12, s) * 2.0**-32,
+        "triangle_slack": lambda g, s: g.integers(0, 4, s) * 1e-15,
+    }
+    for fi, (name, draw) in enumerate(families.items()):
+        for seed in range(12):
+            g = rng(9100 + 100 * fi + seed)
+            n = int(g.integers(4, 12))
+            values = _symmetric(g, n, draw)
+            yield name, DissimilarityMap(taxa=_shuffled_taxa(g, n), values=values)
+    for seed in range(12):
+        # points on a line: triangle sums equal up to the last bit
+        g = rng(9700 + seed)
+        n = int(g.integers(4, 12))
+        points = g.uniform(0.0, 1000.0, n)
+        values = np.abs(points[:, None] - points[None, :])
+        yield "line", DissimilarityMap(taxa=_shuffled_taxa(g, n), values=values)
+    for seed in range(24):
+        # three taxa, d(x,z) at the larger of (d(x,y) + d(y,z)) + 1e-15
+        # and d(x,y) + (d(y,z) + 1e-15), drawn where the two differ
+        g = rng(9750 + seed)
+        while True:
+            a, b = g.uniform(0.1, 1.0, 2)
+            if (a + b) + 1e-15 != a + (b + 1e-15):
+                break
+        values = np.zeros((3, 3))
+        values[0, 1] = values[1, 0] = a
+        values[1, 2] = values[2, 1] = b
+        values[0, 2] = values[2, 0] = max((a + b) + 1e-15, a + (b + 1e-15))
+        yield "triangle_grouping", DissimilarityMap(taxa=_shuffled_taxa(g, 3), values=values)
+    for seed in range(12):
+        g = rng(9800 + seed)
+        n = int(g.integers(5, 14))
+        base = tree_metric(random_tree(9850 + seed, n))
+        values = np.array(base.values)
+        i, j = sorted(g.choice(n, 2, replace=False))
+        values[i, j] = values[j, i] = values[i, j] * g.uniform(1.05, 1.6)
+        yield "perturbed", DissimilarityMap(taxa=base.taxa, values=values)
+        yield "tree", base
+        # the diagonal need only be zero within 1e-12; y = x and z = y
+        # must still be skipped
+        values = np.array(base.values)
+        np.fill_diagonal(values, g.uniform(-1e-12, 1e-12, n))
+        yield "tree", DissimilarityMap(taxa=base.taxa, values=values)
+
+
+def test_witnesses_match_the_loop_scans():
+    verdicts = {}
+    for name, delta in _witness_cases():
+        want4 = _loop_check_four_point(delta)
+        want3 = _loop_check_metric(delta)
+        four, metric = check_four_point(delta), check_metric(delta)
+        assert four.ok == (want4 is None) and four.violation == want4, name
+        assert metric.ok == (want3 is None) and metric.violation == want3, name
+        verdicts.setdefault(name, set()).add((four.ok, metric.ok))
+    # every family with failures shows them, and the boundary families
+    # also pass some inputs, so both sides of each slack are exercised
+    assert (False, False) in verdicts["negative"]
+    assert any(not ok4 for ok4, _ in verdicts["perturbed"])
+    assert verdicts["tree"] == {(True, True)}
+    for name in ("four_point_slack", "four_point_grid"):
+        assert {ok4 for ok4, _ in verdicts[name]} == {True, False}
+    for name in ("triangle_slack", "line", "triangle_grouping"):
+        assert {ok3 for _, ok3 in verdicts[name]} == {True, False}
+
+
+def _loop_neighbor_join(delta):
+    """The pair-by-pair agglomeration loop neighbor_join replaced."""
+    import warnings
+
+    from phylokit.trees import PhyloTree
+
+    tree = PhyloTree()
+    nodes = [tree.add_node(label=t) for t in delta.taxa]
+    keys = list(delta.taxa)
+    values = np.array(delta.values)
+    ties = 0
+
+    def attach(node, hub, length):
+        tree.add_edge(node, hub, 0.0 if length < 0 else length)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while len(nodes) > 3:
+            m = len(nodes)
+            r = values.sum(axis=1)
+            q = (m - 2) * values - r[:, None] - r[None, :]
+            best = None
+            for a in range(m):
+                for b in range(a + 1, m):
+                    cand = (q[a, b], tuple(sorted((keys[a], keys[b]))))
+                    if best is None or cand < best[0]:
+                        best = (cand, a, b)
+            _, a, b = best
+            ties += int((q[np.triu_indices(m, 1)] == q[a, b]).sum() > 1)
+            dab = values[a, b]
+            la = 0.5 * dab + (r[a] - r[b]) / (2.0 * (m - 2))
+            hub = tree.add_node()
+            attach(nodes[a], hub, la)
+            attach(nodes[b], hub, dab - la)
+            merged = 0.5 * (values[a] + values[b] - dab)
+            keep = [x for x in range(m) if x not in (a, b)]
+            values = np.vstack(
+                [
+                    np.hstack([values[np.ix_(keep, keep)], merged[keep, None]]),
+                    np.hstack([merged[keep], [0.0]]),
+                ]
+            )
+            nodes = [nodes[x] for x in keep] + [hub]
+            keys = [keys[x] for x in keep] + [min(keys[a], keys[b])]
+        hub = tree.add_node()
+        for a in range(3):
+            b, c = [x for x in range(3) if x != a]
+            attach(nodes[a], hub, 0.5 * (values[a, b] + values[a, c] - values[b, c]))
+    return tree, ties
+
+
+def test_nj_matches_the_loop_agglomeration_on_tied_integer_matrices():
+    import warnings
+
+    from phylokit.formats import emit_newick
+
+    tied_steps = 0
+    for seed in range(30):
+        g = rng(9900 + seed)
+        n = int(g.integers(4, 16))
+        values = _symmetric(g, n, lambda g, s: g.integers(1, 4, s).astype(float))
+        delta = DissimilarityMap(taxa=_shuffled_taxa(g, n), values=values)
+        want, ties = _loop_neighbor_join(delta)
+        tied_steps += ties
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = neighbor_join(delta)
+        assert emit_newick(got) == emit_newick(want)
+        assert got.edges() == want.edges()
+    assert tied_steps >= 30
+
+
+def test_dissimilarity_map_rejects_infinite_entries():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="inf"):
+            DissimilarityMap(taxa=("a", "b"), values=np.array([[0, bad], [bad, 0]]))
