@@ -8,6 +8,7 @@ formats, violated preconditions).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -389,11 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main, not at import
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # look the handler up at call time, so the shared parser holds no
+    # stale reference to a replaced module attribute
+    handler = globals()[args.handler.__name__]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,11 +14,18 @@ each diagonal a numpy vector per state.  Probability rescales every
 diagonal by an exact power of two and carries the exponent, so
 :func:`log_pair_probability` is finite where the probability underflows.
 Max-plus records, per cell and state, which predecessor states tie for
-the maximum; polygons keep one convex hull per cell and record which
-letters reach each vertex.  Exact ties are resolved once, after the
-sweep: the nodes on optimal paths are marked backwards, and the word is
-read forwards taking the smallest letter (D < I < M) into a marked node,
-which yields the lexicographically smallest optimal word or witness.
+the maximum.  Exact ties are resolved once, after the sweep: the nodes
+on optimal paths are marked backwards, and the word is read forwards
+taking the smallest letter (D < I < M) into a marked node, which yields
+the lexicographically smallest optimal word.
+
+The polygon needs no hull until the end.  Alignments with the same
+number of M letters share an indel count, so the polygon is the hull of
+the least and the greatest mismatch count per M count at the final cell.
+One integer sweep by word length carries both extremes for every (cell,
+M count) node, and each node keeps the last letter of its
+lexicographically smallest extreme word, found by prefix ranks; one
+traceback per vertex reads its witness.
 """
 
 from __future__ import annotations
@@ -305,13 +312,6 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 # (D < I < M) into a marked node by a tight edge.  Words that end at the
 # same cell are never prefixes of one another, so this greedy walk gives
 # the lexicographically smallest optimal word.
-#
-# Polygons carry no transition factor, so one hull per cell suffices: the
-# hull of the predecessor hulls moved by each letter's (mismatch, indel)
-# step, with a mask of the letters that reach each vertex from a vertex of
-# their predecessor cell.  Every alignment ending at a final vertex passes
-# through hull vertices only, so the same mark-and-walk over (cell, vertex)
-# nodes gives each vertex's lexicographically smallest witness.
 
 _START = 3
 #: (rows, columns) that each state's letter consumes, by state index
@@ -411,11 +411,94 @@ def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int) -> bytes:
     return marked.tobytes()
 
 
-def _class_step(s1: str, s2: str, i: int, j: int, k: int) -> tuple[int, int]:
-    """(mismatch, indel) increment of the letter of state k entering (i, j)."""
-    if k == _S["M"]:
-        return int(s1[i - 1] != s2[j - 1]), 0
-    return 0, 1
+# ---------------------------------------------------------------------------
+# the parametric polygon sweep
+
+# An alignment prefix at cell (i, j) with t M letters has indel count
+# i + j - 2t, so for each node (i, j, t) only the least and the greatest
+# achievable mismatch count x matter: every other point of the node lies
+# between them on one horizontal line.  The polygon is the hull of those
+# two extremes at the final cell, over t = 0 .. min(n, m) (Pachter &
+# Sturmfels, "Parametric inference for biological sequence analysis",
+# PNAS 2004, compute the same polygon by hull-and-Minkowski propagation).
+# Both extremes are minima of an integer count that each M letter raises
+# by 0 or 1: the lo side counts mismatches, the hi side equal letters
+# (t minus x, which is least where x is greatest).
+#
+# The sweep runs by word length l = i + j - t.  A layer is indexed by
+# (a, b) = (#D, #I), so i = l - b, j = l - a, t = l - a - b, and all three
+# predecessors lie in layer l - 1: D at (a - 1, b), I at (a, b - 1) and M
+# at (a, b) itself.  Layer l's box is a in [max(0, l - m), min(n, l)] by
+# b in [max(0, l - n), min(m, l)]; its entries with a + b > l stand for no
+# node and stay above every real count.  Two (2, n + 2, m + 2) buffers,
+# with (a, b) at [a + 1, b + 1], alternate between layers: a layer reads
+# only the previous layer's box and entries that no layer has written.
+# The M step of layer l is a plain slice of the flipped step table.
+#
+# Witnesses use prefix ranks, as semirings._argmax_chain does.  All words
+# that reach a layer have the same length, so a node's lexicographically
+# smallest extreme word is the smallest (predecessor's word, letter) over
+# the predecessors that reach the node's extreme, with D < I < M.  Each
+# node carries a key that orders those words: 4 * (its predecessor's key)
+# + letter, so the letter is the key's low two bits.  The count and the
+# key are packed into one int64, count high, and one minimum compares
+# both.  Keys grow two bits per layer; when the next layer could carry
+# into the count, the layer's keys are replaced by their ranks (one
+# argsort).  Each node stores its two letters (lo side in bits 0-1, hi
+# side in bits 2-3); a vertex's witness is read back from the final cell.
+
+_LETTERS = "DIM"  # polygon letter codes, in witness order
+_LETTER_D, _LETTER_I, _LETTER_M = range(3)
+
+
+def _polygon_sweep(s1: str, s2: str) -> tuple[np.ndarray, np.ndarray, list]:
+    """Least and greatest mismatch counts at the final cell by M count
+    t = 0 .. min(n, m), and each layer's letters by (a, b) in its box."""
+    n, m = len(s1), len(s2)
+    # entries with no node start at ``absent`` and grow by at most one per
+    # layer, so the packed count never reaches the sign bit
+    absent = min(n, m) + 1
+    bits = 63 - (absent + n + m).bit_length()
+    mask = (1 << bits) - 1
+    if 4 * 2 * (n + 1) * (m + 1) > mask:  # ranks of a full box, shifted once
+        raise ValueError(f"sequence lengths ({n}, {m}) are too large for a polygon")
+    match = _codes(s1)[:, None] == _codes(s2)[None, :]
+    counts = np.zeros((2, n + 1, m + 1), dtype=np.int64)
+    counts[0, 1:, 1:] = ~match
+    counts[1, 1:, 1:] = match
+    # m_step[s, m - l + a, n - l + b]: packed step of the M letter into
+    # node (a, b) of layer l, which enters cell (l - b, l - a)
+    m_step = (counts[:, ::-1, ::-1].transpose(0, 2, 1) << bits) + _LETTER_M
+    prev = np.full((2, n + 2, m + 2), absent << bits, dtype=np.int64)
+    cur = prev.copy()
+    cur[:, 1, 1] = 0  # layer 0: the empty word
+    key_bound = 0
+    letters = [None]
+    ends = np.empty((2, min(n, m) + 1), dtype=np.int64)
+    for l in range(1, n + m + 1):
+        prev, cur = cur, prev
+        a0, a1, b0, b1 = max(0, l - m), min(n, l), max(0, l - n), min(m, l)
+        src = prev[:, a0:a1 + 2, b0:b1 + 2]
+        src = src + (src & mask) * 3  # key -> 4 * key
+        box = cur[:, a0 + 1:a1 + 2, b0 + 1:b1 + 2]
+        np.minimum(src[:, :-1, 1:], src[:, 1:, :-1] + _LETTER_I, out=box)
+        steps = m_step[:, m - l + a0:m - l + a1 + 1, n - l + b0:n - l + b1 + 1]
+        np.minimum(box, src[:, 1:, 1:] + steps, out=box)
+        side = (box & 3).astype(np.uint8)
+        letters.append(side[0] | side[1] << 2)
+        if l >= max(n, m):  # the box corner (a0, b0) is the final cell
+            ends[:, n + m - l] = box[:, 0, 0] >> bits
+        key_bound = 4 * key_bound + 3
+        if 4 * key_bound + 3 > mask:
+            # valid keys of one side are distinct (one word per node), so
+            # any ranking consistent with their order keeps every choice
+            keys = box & mask
+            order = keys.ravel().argsort()
+            ranks = np.empty(order.size, dtype=np.int64)
+            ranks[order] = np.arange(order.size)
+            box += ranks.reshape(keys.shape) - keys
+            key_bound = order.size - 1
+    return ends[0], np.arange(ends.shape[1]) - ends[1], letters
 
 
 # ---------------------------------------------------------------------------
@@ -537,50 +620,27 @@ def parametric_polygon(s1: str, s2: str) -> ParametricPolygon:
     """
     s1, s2 = _check_sequences(s1, s2)
     n, m = len(s1), len(s2)
-    # hulls[i][j] maps each hull vertex of cell (i, j) to the bit mask of
-    # the letters (by state index) that reach it from a vertex of the
-    # letter's predecessor cell
-    hulls = [[None] * (m + 1) for _ in range(n + 1)]
-    hulls[0][0] = {(0, 0): 0}
-    for i in range(n + 1):
-        for j in range(m + 1):
-            if i == 0 and j == 0:
-                continue
-            cand: dict[tuple[int, int], int] = {}
-            for k, (di, dj) in enumerate(_MOVES):
-                if di <= i and dj <= j:
-                    dx, dy = _class_step(s1, s2, i, j, k)
-                    for x, y in hulls[i - di][j - dj]:
-                        q = (x + dx, y + dy)
-                        cand[q] = cand.get(q, 0) | 1 << k
-            hulls[i][j] = {v: cand[v] for v in convex_hull(cand)}
-    vertices = tuple(hulls[n][m])
-    # reach[i][j][u]: bit b set when node (i, j, u) lies on a path to the
-    # final vertex b
-    reach = [[{} for _ in range(m + 1)] for _ in range(n + 1)]
-    reach[n][m] = {v: 1 << b for b, v in enumerate(vertices)}
-    for i in range(n, -1, -1):
-        for j in range(m, -1, -1):
-            for (x, y), bits in reach[i][j].items():
-                letters = hulls[i][j][(x, y)]
-                for k, (di, dj) in enumerate(_MOVES):
-                    if letters >> k & 1:
-                        dx, dy = _class_step(s1, s2, i, j, k)
-                        pred = reach[i - di][j - dj]
-                        u = (x - dx, y - dy)
-                        pred[u] = pred.get(u, 0) | bits
+    lo, hi, letters = _polygon_sweep(s1, s2)
+    y = (n + m - 2 * np.arange(len(lo))).tolist() * 2
+    vertices = convex_hull(zip(lo.tolist() + hi.tolist(), y))
 
-    def witness(b: int) -> str:
-        def enter(i, j, point, k):
-            dx, dy = _class_step(s1, s2, i, j, k)
-            nxt = (point[0] + dx, point[1] + dy)
-            return nxt if reach[i][j].get(nxt, 0) >> b & 1 else None
-
-        return _walk(n, m, (0, 0), enter)
+    def witness(x: int, y: int) -> str:
+        t = (n + m - y) // 2
+        shift = 0 if x == lo[t] else 2
+        a, b = n - t, m - t
+        word = []
+        for l in range(n + m - t, 0, -1):
+            k = letters[l][a - max(0, l - m), b - max(0, l - n)] >> shift & 3
+            word.append(_LETTERS[k])
+            if k == _LETTER_D:
+                a -= 1
+            elif k == _LETTER_I:
+                b -= 1
+        return "".join(reversed(word))
 
     return ParametricPolygon(
         polygon=LatticePolygon(vertices),
-        witnesses=tuple(witness(b) for b in range(len(vertices))),
+        witnesses=tuple(witness(x, y) for x, y in vertices),
     )
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from phylokit import evolution
 from phylokit.evolution import (
     JcEdge,
     RateMatrix,
@@ -455,6 +456,46 @@ def test_simulation_base_frequencies_near_uniform():
     for taxon in ("x", "y"):
         counts = np.array([seqs[taxon].count(c) for c in NUC]) / 200_000
         assert np.abs(counts - 0.25).max() < 0.01
+
+
+def _leaves_beyond_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:
+    """The rooted edge order by one ``leaves_beyond`` call per edge: the
+    children of each node sorted by the smallest label beyond them, "~"
+    where there is none, in depth-first order from the root."""
+    order, stack, seen = [], [root], {root}
+    while stack:
+        node = stack.pop()
+        children = sorted(
+            (c for c in tree.neighbors(node) if c not in seen),
+            key=lambda c: min(tree.leaves_beyond(node, c), default="~"),
+        )
+        for child in children:
+            order.append((node, child))
+            seen.add(child)
+        stack.extend(reversed(children))
+    return order
+
+
+def test_rooted_edge_order_matches_leaves_beyond_order():
+    trees = [random_tree(seed, 3 + seed % 25) for seed in range(40)]
+    odd = PhyloTree()  # a label above "~" and a side with no label
+    hub, mid = odd.add_node(), odd.add_node()
+    for label in ("b", "\u00e9"):
+        odd.add_edge(hub, odd.add_node(label=label), 0.1)
+    odd.add_edge(hub, mid, 0.1)
+    odd.add_edge(mid, odd.add_node(), 0.1)
+    odd.add_edge(mid, odd.add_node(label="a"), 0.1)
+    for tree in trees + [odd]:
+        for root in tree.nodes():
+            assert evolution._rooted_edge_order(tree, root) == _leaves_beyond_edge_order(
+                tree, root
+            )
+
+
+def test_rooted_edge_order_on_a_2000_leaf_caterpillar():
+    tree = caterpillar(2000, 3300)
+    root = evolution._pruning_root(tree)
+    assert evolution._rooted_edge_order(tree, root) == _leaves_beyond_edge_order(tree, root)
 
 
 def test_simulation_validation():

@@ -3,12 +3,18 @@ and decoding against word-enumeration oracles, scoring-scheme
 equivalence, and parametric polygons against reachable-point hulls."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import phylokit
 from phylokit.pairhmm import (
     PairHmmParams,
     ScoringScheme,
@@ -25,6 +31,7 @@ from phylokit.pairhmm import (
     scoring_scheme_params,
     viterbi_alignment,
 )
+from phylokit.semirings import convex_hull
 
 from conftest import gift_wrap_hull, rng
 
@@ -610,6 +617,131 @@ def test_polygon_matches_reference_dp_beyond_enumeration_sizes():
     for s1, s2 in _tie_pairs(g, 8):
         poly = parametric_polygon(s1, s2)
         assert list(zip(poly.polygon.vertices, poly.witnesses)) == _reference_polygon(s1, s2)
+
+
+def _hull_per_cell_polygon(s1: str, s2: str) -> list[tuple[tuple[int, int], str]]:
+    """Polygon by hull-per-cell propagation, the design the extreme-count
+    sweep replaced: each cell keeps its hull vertices with the letters
+    that reach them from a vertex of the letter's predecessor cell; the
+    nodes on paths to each final vertex are marked backwards and the
+    witness is walked forwards taking the smallest letter (D < I < M)
+    into a marked node.  (vertex, witness) pairs of the final cell."""
+    n, m = len(s1), len(s2)
+
+    def step(i, j, state):
+        return (int(s1[i - 1] != s2[j - 1]), 0) if state == "M" else (0, 1)
+
+    hulls = {(0, 0): {(0, 0): ""}}
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 and j == 0:
+                continue
+            cand: dict = {}
+            for state, (di, dj) in _MOVES.items():
+                if di <= i and dj <= j:
+                    dx, dy = step(i, j, state)
+                    for x, y in hulls[(i - di, j - dj)]:
+                        q = (x + dx, y + dy)
+                        cand[q] = cand.get(q, "") + state
+            hulls[(i, j)] = {v: cand[v] for v in convex_hull(cand)}
+    vertices = tuple(hulls[(n, m)])
+    reach = {(n, m): {v: 1 << b for b, v in enumerate(vertices)}}
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            for (x, y), bits in reach.get((i, j), {}).items():
+                for state in hulls[(i, j)][(x, y)]:
+                    di, dj = _MOVES[state]
+                    dx, dy = step(i, j, state)
+                    pred = reach.setdefault((i - di, j - dj), {})
+                    pred[(x - dx, y - dy)] = pred.get((x - dx, y - dy), 0) | bits
+
+    def witness(b):
+        word, i, j, point = [], 0, 0, (0, 0)
+        while (i, j) != (n, m):
+            for state in "DIM":
+                di, dj = _MOVES[state]
+                if i + di <= n and j + dj <= m:
+                    dx, dy = step(i + di, j + dj, state)
+                    nxt = (point[0] + dx, point[1] + dy)
+                    if reach.get((i + di, j + dj), {}).get(nxt, 0) >> b & 1:
+                        break
+            word.append(state)
+            i, j, point = i + di, j + dj, nxt
+        return "".join(word)
+
+    return [(v, witness(b)) for b, v in enumerate(vertices)]
+
+
+def _polygon_oracle_pairs(g, count: int, max_len: int) -> list[tuple[str, str]]:
+    """Random, period-1-3 tandem-repeat and two-letter (A/C only, dense
+    in ties) pairs of lengths 1 to ``max_len``, in turn."""
+    pairs = []
+    for t in range(count):
+        n, m = (int(v) for v in g.integers(1, max_len + 1, size=2))
+        if t % 3 == 0:
+            pairs.append((_random_dna(g, n), _random_dna(g, m)))
+        elif t % 3 == 1:
+            unit = _random_dna(g, int(g.integers(1, 4)))
+            reps = unit * (max(n, m) // len(unit) + 2)
+            phase = int(g.integers(0, len(unit)))
+            pairs.append((reps[:n], reps[phase:phase + m]))
+        else:
+            s1, s2 = ("".join("AC"[c] for c in g.integers(0, 2, size=k)) for k in (n, m))
+            pairs.append((s1, s2))
+    return pairs
+
+
+def _vertex_witness_pairs(s1: str, s2: str) -> list[tuple[tuple[int, int], str]]:
+    poly = parametric_polygon(s1, s2)
+    return list(zip(poly.polygon.vertices, poly.witnesses))
+
+
+def test_polygon_matches_hull_per_cell_propagation_to_length_90():
+    g = rng(80)
+    pairs = _polygon_oracle_pairs(g, 36, 90)
+    pairs += [("A", "C"), ("G", "G"), ("T", _random_dna(g, 90)), ("AC" * 45, "A")]
+    pairs += [("A" + "C" * 59, "C" * 60), ("CA" * 40, "AC" * 41)]
+    for s1, s2 in pairs:
+        assert _vertex_witness_pairs(s1, s2) == _hull_per_cell_polygon(s1, s2), (s1, s2)
+
+
+def test_polygon_matches_reference_dp_on_two_letter_pairs():
+    g = rng(81)
+    pairs = _polygon_oracle_pairs(g, 36, 40)[2::3]
+    assert all(set(s1 + s2) <= set("AC") for s1, s2 in pairs)
+    for s1, s2 in pairs + [("A", "CACA"), ("ACCA", "C")]:
+        assert _vertex_witness_pairs(s1, s2) == _reference_polygon(s1, s2), (s1, s2)
+
+
+def test_polygon_memory_at_200_stays_small():
+    # letters are stored for each layer's box only, one byte per node:
+    # well below a whole (layers, n + 1, m + 1) table
+    g = rng(82)
+    s1, s2 = _random_dna(g, 200), _random_dna(g, 200)
+    tracemalloc.start()
+    try:
+        parametric_polygon(s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_polygon_vertex_growth_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "polygon_vertex_growth.py"
+    src = str(Path(phylokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script), "--max-length", "10", "--trials", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header = done.stdout.splitlines()[0].split()
+    assert header == ["n", "mean_vertices", "max_vertices", "n^(2/3)", "alignments"]
 
 
 def test_polygon_vertex_count_is_trivially_below_delannoy():

@@ -478,6 +478,44 @@ def test_distances_from_alignment_memory_stays_near_the_alignment_size():
     assert peak < 5 * taxa * sites
 
 
+def test_cli_main_repeated_in_one_process_matches_fresh_runs(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import phylokit
+
+    src = str(Path(phylokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [
+        (["pipeline", "--distances", _table3_path()], 0),
+        (["align", "polygon", "--seq1", "ACGGTAC", "--seq2", "AGGTTACA"], 0),
+        (["align", "polygon", "--seq1", "ACGT"], 2),  # the handler rejects it
+        (["nj", "build"], 2),  # the parser rejects it
+        (["nj", "build", "--distances", _table3_path()], 0),
+        (["dist", "--alignment", _toy_alignment_path(), "--format", "json"], 0),
+        (["pipeline", "--distances", _table3_path()], 0),
+    ]
+    for argv, code in calls:
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "phylokit.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (got, out) == (code, fresh.stdout), argv
+        assert fresh.returncode == code, argv
+        assert out or code == 2
+
+
 def test_cli_pipeline_rejects_infinite_distances(tmp_path, capsys):
     path = tmp_path / "inf.phy"
     path.write_text("3\na 0 1 inf\nb 1 0 1\nc inf 1 0\n")
