@@ -60,7 +60,6 @@ from .pipeline import (
 from .semirings import (
     ChainSpec,
     LatticePolygon,
-    TropicalValue,
     evaluate_chain,
     polygon_product,
     polygon_sum,

@@ -326,32 +326,13 @@ def _stream(seed: int, index) -> np.random.Generator:
 def _rooted_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:
     """Parent->child edges in a traversal order fixed by the smallest
     taxon label at or below each child ("~" below a child with none)."""
-    parent = {root: None}
-    nodes = [root]  # breadth-first, so every child follows its parent
-    for node in nodes:
-        for c in tree.neighbors(node):
-            if c not in parent:
-                parent[c] = node
-                nodes.append(c)
-    smallest: dict[int, str] = {}  # only nodes with a label at or below
-    for node in reversed(nodes):
-        if tree.is_leaf(node):
-            label = tree.label_of(node)
-            smallest[node] = min(smallest.get(node, label), label)
-        up = parent[node]
-        if node in smallest and up is not None:
-            smallest[up] = min(smallest.get(up, smallest[node]), smallest[node])
-
+    children = tree.children_from(root)
     order: list[tuple[int, int]] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        children = sorted(
-            (c for c in tree.neighbors(node) if parent[c] == node),
-            key=lambda c: smallest.get(c, "~"),
-        )
-        order.extend((node, child) for child in children)
-        stack.extend(reversed(children))
+        order.extend((node, child) for child in children[node])
+        stack.extend(reversed(children[node]))
     return order
 
 

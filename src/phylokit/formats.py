@@ -141,43 +141,26 @@ def emit_newick(tree: PhyloTree, decimals: int = 6) -> str:
 
     first = collapsed.node_of(taxa[0])
     root = next(iter(collapsed.neighbors(first)))
-    # (node, parent) pairs, breadth first from the root
-    order = [(root, None)]
-    for node, parent in order:
-        order.extend((c, node) for c in collapsed.neighbors(node) if c != parent)
-    # smallest taxon below each node, children before parents
-    smallest: dict[int, str] = {}
-    for node, parent in reversed(order):
-        if collapsed.is_leaf(node):
-            smallest[node] = collapsed.label_of(node)
-        else:
-            smallest[node] = min(
-                smallest[c] for c in collapsed.neighbors(node) if c != parent
-            )
+    children = collapsed.children_from(root)
 
     out: list[str] = []
-    # text still to write, last first: strings, and (node, parent) pairs
-    # standing for a whole subtree
-    todo: list = [";", (root, None)]
+    # text still to write, last first: strings, and nodes standing for a
+    # whole subtree
+    todo: list = [";", root]
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
             continue
-        node, parent = item
         if collapsed.is_leaf(node):
             out.append(collapsed.label_of(node))
             continue
-        children = sorted(
-            (c for c in collapsed.neighbors(node) if c != parent),
-            key=smallest.__getitem__,
-        )
         todo.append(")")
-        for i, child in enumerate(reversed(children)):
+        for i, child in enumerate(reversed(children[node])):
             if i:
                 todo.append(",")
             todo.append(f":{fmt % collapsed.edge_length(node, child)}")
-            todo.append((child, node))
+            todo.append(child)
         out.append("(")
     return "".join(out)
 

@@ -202,8 +202,8 @@ class ScoringScheme:
     gap: float
 
     def __post_init__(self):
-        if self.mismatch < 0 or self.gap < 0:
-            raise ValueError("mismatch and gap penalties must be non-negative")
+        if not (0 <= self.mismatch < math.inf and 0 <= self.gap < math.inf):
+            raise ValueError("mismatch and gap penalties must be finite and non-negative")
 
 
 def scoring_scheme_params(scheme: ScoringScheme) -> PairHmmParams:
@@ -353,24 +353,6 @@ def _sweep(tables, s1: str, s2: str, zero: float, start: float, step) -> np.ndar
         cur[:3, rows] = step(d, lo, hi, src, emit)
         prev2, prev1 = prev1, cur
     return prev1[:3, n + 1]
-
-
-def _walk(n: int, m: int, node, step) -> str:
-    """Read a word forwards from (0, 0) at ``node``: at each cell take
-    the smallest letter (D < I < M) for which ``step(i, j, node, k)``,
-    given the cell the letter enters, returns the next node."""
-    word = []
-    i = j = 0
-    while i < n or j < m:
-        for k in _WALK_ORDER:
-            di, dj = _MOVES[k]
-            if i + di <= n and j + dj <= m:
-                nxt = step(i + di, j + dj, node, k)
-                if nxt is not None:
-                    break
-        word.append(STATES[k])
-        i, j, node = i + di, j + dj, nxt
-    return "".join(word)
 
 
 def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]:
@@ -573,14 +555,23 @@ def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
     score = np.fmax.reduce(final)
     marked = _mark(tight, final == score, n, m)
     tight_bytes = [row.tobytes() for row in tight]
-
-    def enter(i, j, state, k):
-        cell = i * (m + 1) + j
-        if marked[cell] >> k & 1 and tight_bytes[k][cell] >> state & 1:
-            return k
-        return None
-
-    return ScoredAlignment(_walk(n, m, _START, enter), float(score))
+    word = []
+    i = j = 0
+    state = _START
+    while i < n or j < m:
+        for k in _WALK_ORDER:
+            di, dj = _MOVES[k]
+            cell = (i + di) * (m + 1) + j + dj
+            if (
+                i + di <= n
+                and j + dj <= m
+                and marked[cell] >> k & 1
+                and tight_bytes[k][cell] >> state & 1
+            ):
+                break
+        word.append(STATES[k])
+        i, j, state = i + di, j + dj, k
+    return ScoredAlignment("".join(word), float(score))
 
 
 def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlignment:

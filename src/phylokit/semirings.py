@@ -10,9 +10,10 @@ array and recovers the arg-max path from integer backpointers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,86 +105,33 @@ def polygon_product(a: LatticePolygon, b: LatticePolygon) -> LatticePolygon:
 
 
 # ---------------------------------------------------------------------------
-# scalar semirings
+# semirings
 
 
 @dataclass(frozen=True)
-class TropicalValue:
-    """Max-plus value with an optional decision tag.
+class Semiring:
+    """Values under ``add`` and ``mul``, with identities ``zero`` and
+    ``one``: ``mul`` distributes over ``add``, and ``zero`` absorbs under
+    ``mul``."""
 
-    ``value`` lives in R u {-inf}; -inf is the additive identity and
-    absorbs under multiplication (which clears the tag).  Tags are label
-    tuples; addition keeps the tag of the larger value and breaks exact
-    ties by the lexicographically smaller tag.
-    """
-
-    value: float
-    tag: tuple[str, ...] | None = None
+    zero: object
+    one: object
+    add: Callable
+    mul: Callable
 
 
-class ProbabilitySemiring:
-    """Non-negative reals under (+, *)."""
-
-    zero = 0.0
-    one = 1.0
-
-    @staticmethod
-    def add(a: float, b: float) -> float:
-        return a + b
-
-    @staticmethod
-    def mul(a: float, b: float) -> float:
-        return a * b
-
-
-class MaxPlusSemiring:
-    """R u {-inf} under (max, +), on tagged :class:`TropicalValue`."""
-
-    zero = TropicalValue(NEG_INF)
-    one = TropicalValue(0.0)
-
-    @staticmethod
-    def add(a: TropicalValue, b: TropicalValue) -> TropicalValue:
-        if a.value > b.value:
-            return a
-        if b.value > a.value:
-            return b
-        return a if _tag_key(a.tag) <= _tag_key(b.tag) else b
-
-    @staticmethod
-    def mul(a: TropicalValue, b: TropicalValue) -> TropicalValue:
-        if a.value == NEG_INF or b.value == NEG_INF:
-            return MaxPlusSemiring.zero
-        if a.tag is None:
-            tag = b.tag
-        elif b.tag is None:
-            tag = a.tag
-        else:
-            tag = a.tag + b.tag
-        return TropicalValue(a.value + b.value, tag)
-
-
-def _tag_key(tag: tuple[str, ...] | None) -> tuple:
-    # untagged values sort before tagged ones; stable but arbitrary
-    return () if tag is None else tag
-
-
-class PolygonSemiring:
-    """Lattice polygons under (hull of union, Minkowski sum)."""
-
-    zero = LatticePolygon.empty()
-    one = LatticePolygon.point(0, 0)
-
-    add = staticmethod(polygon_sum)
-    mul = staticmethod(polygon_product)
-
+#: non-negative reals under (+, *)
+ProbabilitySemiring = Semiring(0.0, 1.0, operator.add, operator.mul)
+#: R u {-inf} under (max, +), on plain floats
+MaxPlusSemiring = Semiring(NEG_INF, 0.0, max, operator.add)
+#: lattice polygons under (hull of union, Minkowski sum)
+PolygonSemiring = Semiring(
+    LatticePolygon.empty(), LatticePolygon.point(0, 0), polygon_sum, polygon_product
+)
 
 _SEMIRINGS = {
     "prob": ProbabilitySemiring,
-    "probability": ProbabilitySemiring,
     "max-plus": MaxPlusSemiring,
-    "maxplus": MaxPlusSemiring,
-    "tropical": MaxPlusSemiring,
     "polygon": PolygonSemiring,
 }
 

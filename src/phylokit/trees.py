@@ -34,8 +34,8 @@ class PhyloTree:
     def add_edge(self, u: int, v: int, length: float) -> None:
         if u == v:
             raise ValueError("self edge")
-        if length < 0:
-            raise ValueError(f"negative branch length {length}")
+        if not length >= 0:  # also rejects NaN
+            raise ValueError(f"branch length must be non-negative, got {length}")
         if v in self._adj[u]:
             raise ValueError(f"edge {u}-{v} already present")
         self._adj[u][v] = float(length)
@@ -113,20 +113,48 @@ class PhyloTree:
                     stack.append(y)
         return frozenset(found)
 
-    def path_length(self, a: str, b: str) -> float:
-        """Sum of branch lengths on the unique leaf-to-leaf path."""
-        src, dst = self.node_of(a), self.node_of(b)
-        dist = {src: 0.0}
-        stack = [src]
+    def distances_from(self, node: int) -> dict[int, float]:
+        """Path length from ``node`` to every node connected to it."""
+        dist = {node: 0.0}
+        stack = [node]
         while stack:
             x = stack.pop()
-            if x == dst:
-                return dist[x]
             for y, ln in self._adj[x].items():
                 if y not in dist:
                     dist[y] = dist[x] + ln
                     stack.append(y)
-        raise ValueError(f"leaves {a!r} and {b!r} are not connected")
+        return dist
+
+    def path_length(self, a: str, b: str) -> float:
+        """Sum of branch lengths on the unique leaf-to-leaf path."""
+        src, dst = self.node_of(a), self.node_of(b)
+        dist = self.distances_from(src)
+        if dst not in dist:
+            raise ValueError(f"leaves {a!r} and {b!r} are not connected")
+        return dist[dst]
+
+    def children_from(self, root: int) -> dict[int, list[int]]:
+        """Every node's children when the tree hangs from ``root``, each
+        list ordered by the smallest taxon label at or below the child
+        ("~" for a child with none; ties keep neighbor order)."""
+        children: dict[int, list[int]] = {root: []}
+        nodes = [root]  # breadth-first, so every child follows its parent
+        for node in nodes:
+            for c in self._adj[node]:
+                if c not in children:
+                    children[c] = []
+                    children[node].append(c)
+                    nodes.append(c)
+        smallest: dict[int, str] = {}  # only nodes with a label at or below
+        for node in reversed(nodes):
+            kids = children[node]
+            kids.sort(key=lambda c: smallest.get(c, "~"))
+            found = [smallest[c] for c in kids if c in smallest]
+            if node in self._label:
+                found.append(self._label[node])
+            if found:
+                smallest[node] = min(found)
+        return children
 
     # -- transforms ---------------------------------------------------
 

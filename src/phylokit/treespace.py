@@ -149,22 +149,10 @@ def tree_metric(tree: PhyloTree) -> DissimilarityMap:
     n = len(taxa)
     values = np.zeros((n, n))
     for i, a in enumerate(taxa):
-        dist = _distances_from(tree, tree.node_of(a))
+        dist = tree.distances_from(tree.node_of(a))
         for j in range(i + 1, n):
             values[i, j] = values[j, i] = dist[tree.node_of(taxa[j])]
     return DissimilarityMap(taxa=taxa, values=values)
-
-
-def _distances_from(tree: PhyloTree, src: int) -> dict[int, float]:
-    dist = {src: 0.0}
-    stack = [src]
-    while stack:
-        x = stack.pop()
-        for y, ln in tree.neighbors(x).items():
-            if y not in dist:
-                dist[y] = dist[x] + ln
-                stack.append(y)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +349,8 @@ class MDissimilarityMap:
         for k in values:
             if len(k) != self.m or not set(k) <= set(taxa):
                 raise ValueError(f"bad subset key {sorted(k)}")
+        if not np.isfinite(list(values.values())).all():
+            raise ValueError("m-dissimilarity values must be finite (not NaN or inf)")
         object.__setattr__(self, "taxa", taxa)
         object.__setattr__(self, "values", values)
 

@@ -67,10 +67,17 @@ def test_parse_errors_carry_character_offsets():
         parse_newick("a;")
 
 
+def test_parse_rejects_nan_branch_lengths():
+    for text in ("(a:nan,b:1,c:1);", "((a:1,b:1):NaN,c:1);"):
+        with pytest.raises(ValueError, match="branch length"):
+            parse_newick(text)
+
+
 def test_parse_tolerates_whitespace_and_internal_labels():
     tree = parse_newick("( (a:1, b:2)inner:0.5 , c:3 );\n")
     assert tree.taxa == ("a", "b", "c")
     assert tree_metric(tree).get("a", "c") == pytest.approx(4.5)
+    assert tree.path_length("a", "c") == pytest.approx(4.5)
 
 
 def test_emit_is_deterministic_and_sorted():

@@ -560,6 +560,13 @@ def test_scoring_scheme_rejects_negative_penalties():
         ScoringScheme(mismatch=-0.5, gap=1.0)
 
 
+def test_scoring_scheme_rejects_non_finite_penalties():
+    for bad in (math.nan, math.inf, -math.inf):
+        for mismatch, gap in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                ScoringScheme(mismatch=mismatch, gap=gap)
+
+
 # ---------------------------------------------------------------------------
 # parametric polygons
 

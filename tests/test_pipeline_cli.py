@@ -1,6 +1,7 @@
 """Site counting, motif search, the end-to-end conservation pipeline,
 and the command-line surface."""
 
+import itertools
 import json
 import math
 
@@ -521,6 +522,27 @@ def test_cli_pipeline_rejects_infinite_distances(tmp_path, capsys):
     path.write_text("3\na 0 1 inf\nb 1 0 1\nc inf 1 0\n")
     assert main(["pipeline", "--distances", str(path)]) == 2
     assert "inf" in capsys.readouterr().err
+
+
+def test_cli_align_score_rejects_non_finite_penalties(capsys):
+    for mis, gap in (("1", "inf"), ("nan", "1")):
+        argv = ["align", "score", "--seq1", "ACGT", "--seq2", "ACGT", "--mis", mis, "--gap", gap]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and non-negative" in captured.err
+
+
+def test_cli_gr36_rejects_nan_values(tmp_path, capsys):
+    taxa = ["a", "b", "c", "d", "e", "f"]
+    values = {",".join(s): 1.0 for s in itertools.combinations(taxa, 3)}
+    values["a,b,c"] = math.nan
+    path = tmp_path / "m3-nan.json"
+    path.write_text(json.dumps({"taxa": taxa, "m": 3, "values": values}))
+    assert main(["tree", "gr36", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_simulate_and_rebuild_script_runs():

@@ -15,7 +15,6 @@ from phylokit.semirings import (
     MaxPlusSemiring,
     PolygonSemiring,
     ProbabilitySemiring,
-    TropicalValue,
     convex_hull,
     evaluate_chain,
     polygon_product,
@@ -123,7 +122,7 @@ def test_probability_semiring_laws(a, b, c):
 
 tropicals = st.one_of(
     st.just(float("-inf")), st.integers(-300, 300).map(lambda k: k / 4.0)
-).map(TropicalValue)
+)
 
 
 @given(tropicals, tropicals, tropicals)
@@ -136,19 +135,6 @@ def test_maxplus_semiring_laws(a, b, c):
     assert sr.mul(a, sr.one) == a
     assert sr.mul(a, sr.zero) == sr.zero
     assert sr.mul(a, sr.add(b, c)) == sr.add(sr.mul(a, b), sr.mul(a, c))
-
-
-def test_maxplus_tie_prefers_smaller_tag():
-    a = TropicalValue(1.5, ("b",))
-    b = TropicalValue(1.5, ("a", "z"))
-    assert MaxPlusSemiring.add(a, b) == b
-    combined = MaxPlusSemiring.mul(a, b)
-    assert combined == TropicalValue(3.0, ("b", "a", "z"))
-
-
-def test_maxplus_neg_inf_absorbs_and_clears_tag():
-    tagged = TropicalValue(2.0, ("x",))
-    assert MaxPlusSemiring.mul(tagged, MaxPlusSemiring.zero) == MaxPlusSemiring.zero
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +163,13 @@ def _path_score(spec, path):
 
 def test_chain_single_position_sums_initial_weights():
     assert evaluate_chain(ChainSpec(initial=(0.2, 0.8)), "prob").value == 1.0
+
+
+def test_chain_rejects_unknown_semiring_tags():
+    spec = ChainSpec(initial=(0.0, 0.0))
+    for tag in ("tropical", "maxplus", "probability"):
+        with pytest.raises(ValueError, match="unknown semiring"):
+            evaluate_chain(spec, tag)
 
 
 def test_chain_dimension_mismatch_is_an_error():

@@ -2,6 +2,8 @@
 subtree-length maps with the generalized cherry criterion, the six-taxon
 linear relations, and topology counting."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -715,3 +717,12 @@ def test_dissimilarity_map_rejects_infinite_entries():
     for bad in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="inf"):
             DissimilarityMap(taxa=("a", "b"), values=np.array([[0, bad], [bad, 0]]))
+
+
+def test_m_dissimilarity_map_rejects_non_finite_values():
+    taxa = ("a", "b", "c", "d")
+    for bad in (np.nan, np.inf, -np.inf):
+        values = {frozenset(s): 1.0 for s in combinations(taxa, 3)}
+        values[frozenset("abd")] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MDissimilarityMap(taxa=taxa, m=3, values=values)
