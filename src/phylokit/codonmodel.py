@@ -208,13 +208,12 @@ def segre_residual(p: np.ndarray) -> SegreDiagnostics:
         raise ValueError(f"table must sum to 1, got {table.sum()!r}")
     flat = flatten_first_two(table)
 
-    max_minor = 0.0
-    for r1 in range(16):
-        for r2 in range(r1 + 1, 16):
-            for c1 in range(4):
-                for c2 in range(c1 + 1, 4):
-                    minor = flat[r1, c1] * flat[r2, c2] - flat[r1, c2] * flat[r2, c1]
-                    max_minor = max(max_minor, abs(minor))
+    # minors[r1, r2, c1, c2]; r1 = r2 or c1 = c2 gives exactly zero
+    minors = (
+        flat[:, None, :, None] * flat[None, :, None, :]
+        - flat[:, None, None, :] * flat[None, :, :, None]
+    )
+    max_minor = float(np.abs(minors).max())
 
     singular = np.linalg.svd(flat, compute_uv=False)
     return SegreDiagnostics(max_minor=max_minor, sigma2=float(singular[1]))

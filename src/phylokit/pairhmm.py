@@ -210,9 +210,15 @@ def scoring_scheme_params(scheme: ScoringScheme) -> PairHmmParams:
     """Pair-HMM parameters whose logs realize the simple scoring scheme:
     unit transitions, match emissions e^{+1} (same letter) or
     e^{-mismatch}, and indel emissions e^{-gap}."""
-    em = np.full((4, 4), math.exp(-scheme.mismatch))
-    np.fill_diagonal(em, math.e)
-    indel = np.full(4, math.exp(-scheme.gap))
+    return _log_weight_params(1.0, scheme.mismatch, scheme.gap)
+
+
+def _log_weight_params(match: float, mismatch: float, gap: float) -> PairHmmParams:
+    """Unit transitions, match emissions e^{match} (same letter) or
+    e^{-mismatch}, and indel emissions e^{-gap}."""
+    em = np.full((4, 4), math.exp(-mismatch))
+    np.fill_diagonal(em, math.exp(match))
+    indel = np.full(4, math.exp(-gap))
     return PairHmmParams(
         trans=np.ones((3, 3)),
         emit_match=em,
@@ -580,10 +586,15 @@ def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlig
     By construction this is :func:`viterbi_alignment` on
     :func:`scoring_scheme_params`, whose logs are exactly these position
     scores with zero transition weights; the reported score re-scores
-    the word in exact position arithmetic.
+    the word in exact position arithmetic.  Penalties above 700, whose
+    weights e^{-penalty} would underflow, first have all three log
+    weights divided by max(mismatch, gap) / 700, which keeps the
+    arg-max.  A score that is not finite raises ``ValueError``.
     """
     s1, s2 = _check_sequences(s1, s2)
-    best = viterbi_alignment(scoring_scheme_params(scheme), s1, s2)
+    c = max(1.0, scheme.mismatch / 700, scheme.gap / 700)
+    params = _log_weight_params(1.0 / c, scheme.mismatch / c, scheme.gap / c)
+    best = viterbi_alignment(params, s1, s2)
     matches = mismatches = indels = 0
     i = j = 0
     for state in best.word:
@@ -598,6 +609,8 @@ def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlig
             i, j = (i + 1, j) if state == "D" else (i, j + 1)
             indels += 1
     score = matches - scheme.mismatch * mismatches - scheme.gap * indels
+    if not math.isfinite(score):
+        raise ValueError(f"alignment score {score} is not finite")
     return ScoredAlignment(best.word, float(score))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -389,19 +389,44 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
     taxa = tree.taxa
     if not 2 <= m <= len(taxa):
         raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
-    edge_sides = [
-        (tree.leaves_beyond(u, v), ln) for u, v, ln in tree.edges()
-    ]
-    values = {}
-    for subset in combinations(taxa, m):
-        chosen = frozenset(subset)
-        total = 0.0
-        for side, ln in edge_sides:
-            hits = len(chosen & side)
-            if 0 < hits < m:
-                total += ln
-        values[chosen] = total
+    members = np.array(list(combinations(range(len(taxa)), m)), dtype=np.intp)
+    totals = np.zeros(len(members))
+    for u, v, ln in tree.edges():
+        hits = np.isin(taxa, list(tree.leaves_beyond(u, v)))[members].sum(axis=1)
+        totals[(hits > 0) & (hits < m)] += ln
+    values = dict(zip(map(frozenset, combinations(taxa, m)), totals.tolist()))
     return MDissimilarityMap(taxa=taxa, m=m, values=values)
+
+
+def _members(delta_m: MDissimilarityMap, taxa) -> tuple[np.ndarray, np.ndarray]:
+    """(subsets, m) positions in ``taxa`` of every subset's members, and values."""
+    pos = {t: i for i, t in enumerate(taxa)}
+    members = np.array([[pos[t] for t in k] for k in delta_m.values], dtype=np.intp)
+    return members, np.array(list(delta_m.values.values()))
+
+
+def _subset_sums(delta_m: MDissimilarityMap) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of the values of every subset containing each taxon, and of
+    every subset containing each taxon pair (zero diagonal), in the
+    map's taxon order."""
+    n, m = delta_m.size, delta_m.m
+    members, vals = _members(delta_m, delta_m.taxa)
+    single = np.bincount(members.ravel(), np.repeat(vals, m), n)
+    joint = np.zeros((n, n))
+    for a, b in permutations(range(m), 2):
+        np.add.at(joint, (members[:, a], members[:, b]), vals)
+    return single, joint
+
+
+def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int):
+    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j over
+    taxa in sorted name order, and its arg-min pair a < b: the exact
+    minimum, then the smallest pair."""
+    n = len(single)
+    q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
+    rows, cols = np.triu_indices(n, 1)
+    t = int(np.argmin(q[rows, cols]))
+    return int(rows[t]), int(cols[t]), q
 
 
 def generalized_nj_cherry(delta_m: MDissimilarityMap):
@@ -417,23 +442,12 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
     n, m = len(taxa), delta_m.m
     if n <= m:
         raise ValueError(f"need more taxa than the subset size ({n} <= {m})")
-    single = {
-        t: sum(
-            delta_m.values[frozenset((t,) + y)]
-            for y in combinations([s for s in taxa if s != t], m - 1)
-        )
-        for t in taxa
-    }
-    table = {}
-    for i, j in combinations(sorted(taxa), 2):
-        rest = [t for t in taxa if t not in (i, j)]
-        joint = sum(
-            delta_m.values[frozenset((i, j) + y)]
-            for y in combinations(rest, m - 2)
-        )
-        table[(i, j)] = (n - 2) / (m - 1) * joint - single[i] - single[j]
-    pair = min(table, key=lambda p: (table[p], p))
-    return pair, table
+    single, joint = _subset_sums(delta_m)
+    order = sorted(range(n), key=taxa.__getitem__)
+    names = [taxa[i] for i in order]
+    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m)
+    table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
+    return (names[a], names[b]), table
 
 
 def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
@@ -444,27 +458,19 @@ def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
     gives linear relations that invert to d.  On four taxa the map has a
     two-dimensional kernel and no inverse exists.
     """
-    taxa = md.taxa
-    n = len(taxa)
+    n = md.size
     if md.m != 3:
         raise ValueError("expected a 3-dissimilarity map")
     if n < 5:
         raise ValueError("pairwise inversion needs at least 5 taxa")
     total = sum(md.values.values())  # = (n-2)/2 * sum of all pairwise d
     all_pairs_sum = 2.0 * total / (n - 2)
-    row = {}
-    for t in taxa:
-        acc = sum(v for k, v in md.values.items() if t in k)
-        # acc = ((n-3) * r_t + all_pairs_sum) / 2
-        row[t] = (2.0 * acc - all_pairs_sum) / (n - 3)
-    values = np.zeros((n, n))
-    for a, b in combinations(range(n), 2):
-        x, y = taxa[a], taxa[b]
-        joint = sum(v for k, v in md.values.items() if x in k and y in k)
-        # joint = ((n-4) * d(x,y) + r_x + r_y) / 2
-        d = (2.0 * joint - row[x] - row[y]) / (n - 4)
-        values[a, b] = values[b, a] = d
-    return DissimilarityMap(taxa=taxa, values=values)
+    single, joint = _subset_sums(md)
+    # single_t = ((n-3) * r_t + all_pairs_sum) / 2
+    row = (2.0 * single - all_pairs_sum) / (n - 3)
+    # joint_xy = ((n-4) * d(x,y) + r_x + r_y) / 2
+    values = np.triu((2.0 * joint - row[:, None] - row[None, :]) / (n - 4), 1)
+    return DissimilarityMap(taxa=md.taxa, values=values + values.T)
 
 
 def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
@@ -491,68 +497,42 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
         raise ValueError("need at least 4 taxa")
 
     tree = PhyloTree()
-    # clusters are named by their smallest member, which is also the
-    # tie-breaking key of the cherry criterion
     node_of = {t: tree.add_node(label=t) for t in delta_m.taxa}
-    active = set(delta_m.taxa)
-    values = dict(delta_m.values)
-    pair_dist: dict[frozenset, float] = {}
+    # clusters are named by their smallest member, the tie-breaking key;
+    # a join keeps the smaller name's row, so rows stay in name order
+    names = sorted(delta_m.taxa)
+    nodes = [node_of[t] for t in names]
+    members, vals = _members(delta_m, names)
+    triples = np.zeros((len(names),) * 3)  # zero where indices repeat
+    for i, j, k in permutations(members.T):
+        triples[i, j, k] = vals
+    pairs = np.zeros((4, 4))  # on four taxa every pairing ties: take the smallest
     if delta_m.size >= 5:
-        derived = pairwise_from_3map(delta_m)
-        for a, b in combinations(delta_m.taxa, 2):
-            pair_dist[frozenset((a, b))] = derived.get(a, b)
+        _, pairs = _sorted_values(pairwise_from_3map(delta_m))
 
-    def join(x: str, y: str) -> str:
+    while len(nodes) > 3:
+        # the quartet stage reads pairs, whose criterion picks a true cherry
+        m, joint = (3, triples.sum(axis=2)) if len(nodes) > 4 else (2, pairs)
+        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m)
         hub = tree.add_node()
-        tree.add_edge(node_of.pop(x), hub, 0.0)
-        tree.add_edge(node_of.pop(y), hub, 0.0)
-        z = min(x, y)
-        node_of[z] = hub
-        rest = [t for t in active if t not in (x, y)]
-        pendant = pair_dist.get(frozenset((x, y)), 0.0)
-        for i, j in combinations(rest, 2):
-            values[frozenset((z, i, j))] = (
-                0.5 * (values[frozenset((x, i, j))] + values[frozenset((y, i, j))])
-                - 0.5 * pendant
-            )
-        for k in rest:
-            dk = 0.5 * (
-                pair_dist.get(frozenset((x, k)), 0.0)
-                + pair_dist.get(frozenset((y, k)), 0.0)
-                - pendant
-            )
-            pair_dist[frozenset((z, k))] = dk
-        active.difference_update((x, y))
-        active.add(z)
-        return z
-
-    while len(active) > 4:
-        sub = MDissimilarityMap(
-            taxa=tuple(sorted(active)),
-            m=3,
-            values={k: v for k, v in values.items() if k <= active},
-        )
-        (x, y), _ = generalized_nj_cherry(sub)
-        join(x, y)
-
-    # quartet stage: the pairwise criterion picks a true cherry
-    quartet = sorted(active)
-    if pair_dist:
-        best = None
-        for x, y in combinations(quartet, 2):
-            r_x = sum(pair_dist[frozenset((x, k))] for k in quartet if k != x)
-            r_y = sum(pair_dist[frozenset((y, k))] for k in quartet if k != y)
-            q = 2.0 * pair_dist[frozenset((x, y))] - r_x - r_y
-            cand = (q, (x, y))
-            if best is None or cand < best:
-                best = cand
-        join(*best[1])
-    else:
-        join(quartet[0], quartet[1])
+        tree.add_edge(nodes[a], hub, 0.0)
+        tree.add_edge(nodes[b], hub, 0.0)
+        nodes[a] = hub
+        del nodes[b]
+        pendant = pairs[a, b]
+        merged = 0.5 * (triples[a] + triples[b]) - 0.5 * pendant
+        merged[a] = merged[:, a] = 0.0
+        np.fill_diagonal(merged, 0.0)
+        triples[a] = triples[:, a] = triples[:, :, a] = merged
+        # pairs is exactly symmetric, so [a, a] = (0 + pendant - pendant) / 2 = 0
+        pairs[a] = pairs[:, a] = 0.5 * (pairs[a] + pairs[b] - pendant)
+        keep = np.delete(np.arange(len(pairs)), b)
+        triples = triples[np.ix_(keep, keep, keep)]
+        pairs = pairs[np.ix_(keep, keep)]
 
     hub = tree.add_node()
-    for t in sorted(active):
-        tree.add_edge(node_of[t], hub, 0.0)
+    for node in nodes:
+        tree.add_edge(node, hub, 0.0)
     return tree
 
 

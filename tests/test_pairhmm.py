@@ -567,6 +567,36 @@ def test_scoring_scheme_rejects_non_finite_penalties():
                 ScoringScheme(mismatch=mismatch, gap=gap)
 
 
+def test_score_survives_penalties_past_exp_underflow():
+    # e^-800 is 0.0: without scaling every indel weighs -inf, all words
+    # tie and the all-indel word DDDDIII (score -5600) comes back
+    best = score_alignment_basic(ScoringScheme(mismatch=1.0, gap=800.0), "ACGT", "ACG")
+    assert (best.word, best.score) == ("MMMD", -797.0)
+    g = rng(79)
+    for mis, gap in ((1.0, 800.0), (800.0, 1.0), (800.0, 1e4), (1e4, 800.0), (1e4, 1e4)):
+        for _ in range(12):
+            s1 = _random_dna(g, int(g.integers(1, 6)))
+            s2 = _random_dna(g, int(g.integers(1, 6)))
+
+            def exact(w):
+                x, y = _class_point(w, s1, s2)
+                return (w.count("M") - x) - mis * x - gap * y
+
+            want = max(exact(w) for w in enumerate_alignments(len(s1), len(s2)))
+            got = score_alignment_basic(ScoringScheme(mismatch=mis, gap=gap), s1, s2)
+            assert got.score == exact(got.word) == want, (s1, s2, mis, gap)
+
+
+def test_score_rejects_a_total_that_is_not_finite():
+    scheme = ScoringScheme(mismatch=1.0, gap=1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        score_alignment_basic(scheme, "ACGTA", "ACG")  # two indels: -inf
+    best = score_alignment_basic(scheme, "ACGT", "ACG")
+    # 1e308 swamps the +-1 letter scores, so every one-indel word ties
+    assert best.score == -1e308
+    assert best.word.count("D") == 1 and "I" not in best.word
+
+
 # ---------------------------------------------------------------------------
 # parametric polygons
 

@@ -533,6 +533,18 @@ def test_cli_align_score_rejects_non_finite_penalties(capsys):
         assert "finite and non-negative" in captured.err
 
 
+def test_cli_align_score_large_and_non_finite_scores(capsys):
+    argv = ["align", "score", "--seq1", "ACGT", "--seq2", "ACG", "--mis", "1", "--gap", "800"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(first) == {"alignment": "MMMD", "score": -797.0}
+    argv = ["align", "score", "--seq1", "ACGTA", "--seq2", "ACG", "--mis", "1", "--gap", "1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
 def test_cli_gr36_rejects_nan_values(tmp_path, capsys):
     taxa = ["a", "b", "c", "d", "e", "f"]
     values = {",".join(s): 1.0 for s in itertools.combinations(taxa, 3)}

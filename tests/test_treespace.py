@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from phylokit.formats import bundled_distance_matrix, bundled_reference_tree
+from phylokit.formats import bundled_distance_matrix, bundled_reference_tree, emit_newick
 from phylokit.treespace import (
     DissimilarityMap,
     MDissimilarityMap,
@@ -21,6 +21,7 @@ from phylokit.treespace import (
     gr36_residuals,
     m_dissimilarity,
     neighbor_join,
+    pairwise_from_3map,
     random_binary_tree,
     schroder_count,
     splits_compatible,
@@ -726,3 +727,202 @@ def test_m_dissimilarity_map_rejects_non_finite_values():
         values[frozenset("abd")] = bad
         with pytest.raises(ValueError, match="finite"):
             MDissimilarityMap(taxa=taxa, m=3, values=values)
+
+
+# ---------------------------------------------------------------------------
+# m-map arrays against the frozenset-dict code they replaced
+
+
+def _loop_m_dissimilarity(tree, m):
+    taxa = tree.taxa
+    edge_sides = [(tree.leaves_beyond(u, v), ln) for u, v, ln in tree.edges()]
+    values = {}
+    for subset in combinations(taxa, m):
+        chosen = frozenset(subset)
+        total = 0.0
+        for side, ln in edge_sides:
+            if 0 < len(chosen & side) < m:
+                total += ln
+        values[chosen] = total
+    return values
+
+
+def _loop_generalized_nj_cherry(delta_m):
+    taxa = delta_m.taxa
+    n, m = len(taxa), delta_m.m
+    single = {
+        t: sum(
+            delta_m.values[frozenset((t,) + y)]
+            for y in combinations([s for s in taxa if s != t], m - 1)
+        )
+        for t in taxa
+    }
+    table = {}
+    for i, j in combinations(sorted(taxa), 2):
+        rest = [t for t in taxa if t not in (i, j)]
+        joint = sum(
+            delta_m.values[frozenset((i, j) + y)] for y in combinations(rest, m - 2)
+        )
+        table[(i, j)] = (n - 2) / (m - 1) * joint - single[i] - single[j]
+    pair = min(table, key=lambda p: (table[p], p))
+    return pair, table
+
+
+def _loop_pairwise_from_3map(md):
+    taxa = md.taxa
+    n = len(taxa)
+    all_pairs_sum = 2.0 * sum(md.values.values()) / (n - 2)
+    row = {}
+    for t in taxa:
+        acc = sum(v for k, v in md.values.items() if t in k)
+        row[t] = (2.0 * acc - all_pairs_sum) / (n - 3)
+    values = np.zeros((n, n))
+    for a, b in combinations(range(n), 2):
+        x, y = taxa[a], taxa[b]
+        joint = sum(v for k, v in md.values.items() if x in k and y in k)
+        values[a, b] = values[b, a] = (2.0 * joint - row[x] - row[y]) / (n - 4)
+    return DissimilarityMap(taxa=taxa, values=values)
+
+
+def _loop_generalized_neighbor_join(delta_m):
+    from phylokit.trees import PhyloTree
+
+    tree = PhyloTree()
+    node_of = {t: tree.add_node(label=t) for t in delta_m.taxa}
+    active = set(delta_m.taxa)
+    values = dict(delta_m.values)
+    pair_dist = {}
+    if delta_m.size >= 5:
+        derived = _loop_pairwise_from_3map(delta_m)
+        for a, b in combinations(delta_m.taxa, 2):
+            pair_dist[frozenset((a, b))] = derived.get(a, b)
+
+    def join(x, y):
+        hub = tree.add_node()
+        tree.add_edge(node_of.pop(x), hub, 0.0)
+        tree.add_edge(node_of.pop(y), hub, 0.0)
+        z = min(x, y)
+        node_of[z] = hub
+        rest = [t for t in active if t not in (x, y)]
+        pendant = pair_dist.get(frozenset((x, y)), 0.0)
+        for i, j in combinations(rest, 2):
+            values[frozenset((z, i, j))] = (
+                0.5 * (values[frozenset((x, i, j))] + values[frozenset((y, i, j))])
+                - 0.5 * pendant
+            )
+        for k in rest:
+            pair_dist[frozenset((z, k))] = 0.5 * (
+                pair_dist.get(frozenset((x, k)), 0.0)
+                + pair_dist.get(frozenset((y, k)), 0.0)
+                - pendant
+            )
+        active.difference_update((x, y))
+        active.add(z)
+
+    while len(active) > 4:
+        sub = MDissimilarityMap(
+            taxa=tuple(sorted(active)),
+            m=3,
+            values={k: v for k, v in values.items() if k <= active},
+        )
+        join(*_loop_generalized_nj_cherry(sub)[0])
+    quartet = sorted(active)
+    if pair_dist:
+        best = None
+        for x, y in combinations(quartet, 2):
+            r_x = sum(pair_dist[frozenset((x, k))] for k in quartet if k != x)
+            r_y = sum(pair_dist[frozenset((y, k))] for k in quartet if k != y)
+            cand = (2.0 * pair_dist[frozenset((x, y))] - r_x - r_y, (x, y))
+            if best is None or cand < best:
+                best = cand
+        join(*best[1])
+    else:
+        join(quartet[0], quartet[1])
+    hub = tree.add_node()
+    for t in sorted(active):
+        tree.add_edge(node_of[t], hub, 0.0)
+    return tree
+
+
+def _m_map_cases(m, seed, count, sizes):
+    """(family, map) pairs: maps of random trees, of trees whose branch
+    lengths are all dyadic so that symmetric cherries tie exactly, and
+    uniform noise; declared taxon orders are shuffled for half of them."""
+    for c in range(count):
+        g = rng(seed + c)
+        n = int(g.integers(*sizes))
+        family = ("tree", "equal", "uniform")[c % 3]
+        if family == "uniform":
+            taxa = tuple(f"x{i:02d}" for i in range(n))
+            values = {frozenset(s): float(g.random() * 5) for s in combinations(taxa, m)}
+        else:
+            lengths = (1.0, 1.0) if family == "equal" else (0.05, 1.0)
+            tree = random_binary_tree([f"x{i:02d}" for i in range(n)], g, *lengths)
+            taxa, values = tree.taxa, _loop_m_dissimilarity(tree, m)
+        if c % 2:
+            taxa = tuple(taxa[i] for i in g.permutation(n))
+        yield family, MDissimilarityMap(taxa=taxa, m=m, values=values)
+
+
+def test_m_dissimilarity_matches_the_subset_loop():
+    for seed in range(40):
+        n = 4 + seed % 9
+        tree = random_tree(11000 + seed, n)
+        for m in range(2, min(n, 5) + 1):
+            want = _loop_m_dissimilarity(tree, m)
+            got = m_dissimilarity(tree, m)
+            assert list(got.values) == list(want)
+            for k, v in want.items():
+                assert abs(got.values[k] - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_generalized_cherry_matches_the_dict_sums():
+    compared = 0
+    for m in (2, 3, 4):
+        for family, md in _m_map_cases(m, 11100 + 100 * m, 60, (m + 1, 11)):
+            want_pair, want = _loop_generalized_nj_cherry(md)
+            pair, table = generalized_nj_cherry(md)
+            assert list(table) == list(want)
+            scale = max(abs(v) for v in want.values())
+            for key, v in want.items():
+                assert abs(table[key] - v) <= 1e-9 * scale, (family, m)
+            # dyadic lengths make every sum exact, so tied pairs are
+            # broken identically; elsewhere a near tie may flip by roundoff
+            low = sorted(want.values())
+            if family == "equal" or low[1] - low[0] > 1e-9 * scale:
+                assert pair == want_pair, (family, m)
+                compared += 1
+    assert compared >= 160
+
+
+def test_pairwise_from_3map_matches_the_subset_scans():
+    for family, md in _m_map_cases(3, 11500, 60, (5, 16)):
+        want = _loop_pairwise_from_3map(md)
+        got = pairwise_from_3map(md)
+        assert got.taxa == want.taxa
+        scale = max(1.0, np.abs(want.values).max())
+        assert np.abs(got.values - want.values).max() <= 1e-9 * scale, family
+
+
+def test_generalized_nj_matches_the_dict_joins():
+    families = {}
+    tied = 0
+    for family, md in _m_map_cases(3, 12000, 600, (4, 16)):
+        want = _loop_generalized_neighbor_join(md)
+        got = generalized_neighbor_join(md)
+        # the two cherries of the final quartet tie in exact arithmetic,
+        # so which is joined first follows roundoff; the text does not
+        assert emit_newick(got) == emit_newick(want), family
+        families[family] = families.get(family, 0) + 1
+        if family == "equal" and md.size > 4:
+            q = sorted(_loop_generalized_nj_cherry(md)[1].values())
+            tied += q[0] == q[1]
+    assert families == {"tree": 200, "equal": 200, "uniform": 200}
+    assert tied >= 30
+
+
+def test_generalized_nj_recovers_topology_on_30_to_40_taxa():
+    for seed, n in ((12700, 30), (12701, 35), (12702, 40)):
+        tree = random_tree(seed, n)
+        rebuilt = generalized_neighbor_join(m_dissimilarity(tree, 3))
+        assert splits_of_tree(rebuilt).as_set() == splits_of_tree(tree).as_set()
