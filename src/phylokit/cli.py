@@ -147,6 +147,8 @@ def _cmd_hmm(args) -> int:
             raise ValueError(
                 f"alphabet {alphabet!r} does not match emission width {params.l}"
             )
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
         encoded = _encode_observations(lines, alphabet)
     else:
         encoded = [[int(c) for c in line] for line in lines]

@@ -177,15 +177,6 @@ def _pruning_root(tree: PhyloTree) -> int:
     return tree.node_of(min(tree.taxa))
 
 
-def _edge_matrices(tree: PhyloTree) -> dict[tuple[int, int], np.ndarray]:
-    mats = {}
-    for u, v, length in tree.edges():
-        p = edge_params_from_length(length).matrix()
-        mats[(u, v)] = p
-        mats[(v, u)] = p
-    return mats
-
-
 def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
     """Probability of observing ``pattern`` (taxon -> nucleotide) at the
     leaves, with a uniform root distribution.
@@ -203,26 +194,15 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
         if pattern[t].upper() not in _NUC_INDEX:
             raise ValueError(f"invalid nucleotide {pattern[t]!r} for leaf {t!r}")
 
-    mats = _edge_matrices(tree)
     root = _pruning_root(tree)
-    # (node, parent) pairs, breadth first from the root; walked
-    # backwards, every node comes after all of its children
-    order = [(root, None)]
-    for node, parent in order:
-        order.extend((child, node) for child in tree.neighbors(node) if child != parent)
-    below: dict[int, np.ndarray] = {}
-    for node, parent in reversed(order):
-        # a leaf contributes its observed-letter indicator; a leaf can
-        # still have children when it serves as the root
-        if tree.is_leaf(node):
-            out = np.zeros(4)
-            out[_NUC_INDEX[pattern[tree.label_of(node)].upper()]] = 1.0
-        else:
-            out = np.ones(4)
-        for child in tree.neighbors(node):
-            if child != parent:
-                out = out * (mats[(node, child)] @ below.pop(child))
-        below[node] = out
+    # a leaf (which may serve as the root) starts from its observed-letter
+    # indicator, any other node from ones; walked backwards, the rooted
+    # edge order reaches every child before its parent
+    onehot = np.eye(4)
+    below = {tree.node_of(t): onehot[_NUC_INDEX[pattern[t].upper()]] for t in taxa}
+    for parent, child in reversed(_rooted_edge_order(tree, root)):
+        p = edge_params_from_length(tree.edge_length(parent, child)).matrix()
+        below[parent] = below.get(parent, 1.0) * (p @ below.pop(child))
     return float(np.full(4, 0.25) @ below[root])
 
 

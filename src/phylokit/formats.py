@@ -20,6 +20,7 @@ from .treespace import DissimilarityMap, MDissimilarityMap
 # Newick
 
 _NAME_END = set(":,()[];' \t\n\r")
+_NEWICK_LENGTH = "%.6f"
 
 
 class _NewickParser:
@@ -124,20 +125,19 @@ def parse_newick(text: str) -> PhyloTree:
     return tree
 
 
-def emit_newick(tree: PhyloTree, decimals: int = 6) -> str:
+def emit_newick(tree: PhyloTree) -> str:
     """Deterministic Newick text: degree-2 nodes are suppressed, the
     tree is written from the internal node next to the alphabetically
     first taxon, children are ordered by their smallest descendant
-    taxon, and lengths carry a fixed number of decimals."""
+    taxon, and lengths carry six decimals."""
     collapsed = tree.suppress_unifurcations()
     taxa = collapsed.taxa
     if len(taxa) < 2:
         raise ValueError("tree must have at least two leaves")
-    fmt = f"%.{decimals}f"
     if len(taxa) == 2:
         a, b = taxa
         ln = collapsed.edge_length(collapsed.node_of(a), collapsed.node_of(b))
-        return f"({a}:{fmt % ln},{b}:{fmt % 0.0});"
+        return f"({a}:{_NEWICK_LENGTH % ln},{b}:{_NEWICK_LENGTH % 0.0});"
 
     first = collapsed.node_of(taxa[0])
     root = next(iter(collapsed.neighbors(first)))
@@ -159,7 +159,7 @@ def emit_newick(tree: PhyloTree, decimals: int = 6) -> str:
         for i, child in enumerate(reversed(children[node])):
             if i:
                 todo.append(",")
-            todo.append(f":{fmt % collapsed.edge_length(node, child)}")
+            todo.append(f":{_NEWICK_LENGTH % collapsed.edge_length(node, child)}")
             todo.append(child)
         out.append("(")
     return "".join(out)
@@ -301,10 +301,6 @@ def hmm_params_to_json(params: HmmParams) -> str:
 
 def pair_params_from_json(text: str) -> PairHmmParams:
     return PairHmmParams.from_dict(json.loads(text))
-
-
-def pair_params_to_json(params: PairHmmParams) -> str:
-    return json.dumps(params.to_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,10 @@ class HmmParams:
         labels = self.labels
         if labels is None:
             labels = tuple(str(i) for i in range(k))
+        elif not isinstance(labels, (list, tuple)) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ValueError("state labels must be a list of strings")
         elif len(labels) != k:
             raise ValueError(f"expected {k} state labels")
         elif len(set(labels)) != k:
@@ -104,12 +108,14 @@ class HmmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HmmParams":
+        if not isinstance(data, dict):
+            raise ValueError("HMM parameters must be a JSON object")
         params = cls(
             trans=np.array(data["S"], dtype=float),
             emit=np.array(data["T"], dtype=float),
             init=np.array(data["init"], dtype=float) if "init" in data else None,
             mode=data.get("mode", "stochastic"),
-            labels=tuple(data["labels"]) if "labels" in data else None,
+            labels=data.get("labels"),
         )
         for name in ("k", "l"):
             if name in data and data[name] != getattr(params, name):
@@ -275,6 +281,8 @@ def baum_welch_train(
         raise ValueError("training requires a stochastic-mode model")
     if not data:
         raise ValueError("training data is empty")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     sigmas = [_check_observation(h0, obs) for obs in data]
     obs, counts, prev = _pack(sigmas)
     onehot = (obs[:, None] == np.arange(h0.l)).astype(float)

@@ -184,6 +184,8 @@ class PairHmmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PairHmmParams":
+        if not isinstance(data, dict):
+            raise ValueError("pair-HMM parameters must be a JSON object")
         return cls(
             trans=np.array(data["S"], dtype=float),
             emit_match=np.array(data["tM"], dtype=float),

@@ -168,8 +168,8 @@ class PipelineConfig:
     def __post_init__(self):
         if (self.distances is None) == (self.alignment is None):
             raise ValueError("supply exactly one of distances/alignment")
-        if self.genome_length <= 0:
-            raise ValueError("genome length must be positive")
+        if not 0 < self.genome_length < math.inf:  # also rejects NaN
+            raise ValueError("genome length must be finite and positive")
         if self.motif is not None and not self.motif:
             raise ValueError("motif is empty")
 

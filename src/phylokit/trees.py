@@ -95,9 +95,6 @@ class PhyloTree:
     def edge_length(self, u: int, v: int) -> float:
         return self._adj[u][v]
 
-    def total_length(self) -> float:
-        return sum(ln for _, _, ln in self.edges())
-
     def leaves_beyond(self, u: int, v: int) -> frozenset[str]:
         """Labels of leaves reachable from v when the edge u-v is cut."""
         seen = {u, v}

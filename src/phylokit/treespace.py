@@ -286,18 +286,10 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
             length = 0.0
         tree.add_edge(node, hub, length)
 
-    # lower[:m, :m] masks the diagonal and below of an m x m table; the
-    # criterion is not bit-symmetric, so only a < b is read
-    lower = np.tri(n, dtype=bool)
     while len(nodes) > 3:
         m = len(nodes)
         r = values.sum(axis=1)
-        q = (m - 2) * values - r[:, None] - r[None, :]
-        np.copyto(q, np.inf, where=lower[:m, :m])
-        a, b = min(
-            (divmod(int(t), m) for t in np.flatnonzero(q == q.min())),
-            key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
-        )
+        a, b, _ = _cherry_pick(r, values, 2, keys)
         dab = values[a, b]
         la = 0.5 * dab + (r[a] - r[b]) / (2.0 * (m - 2))
         lb = dab - la
@@ -418,15 +410,19 @@ def _subset_sums(delta_m: MDissimilarityMap) -> tuple[np.ndarray, np.ndarray]:
     return single, joint
 
 
-def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int):
-    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j over
-    taxa in sorted name order, and its arg-min pair a < b: the exact
-    minimum, then the smallest pair."""
+def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys):
+    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j and its
+    arg-min pair a < b: the exact minimum, then the smallest sorted pair
+    of ``keys``.  The criterion is not bit-symmetric, so only a < b is
+    read; the diagonal and below are set to inf."""
     n = len(single)
     q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
-    rows, cols = np.triu_indices(n, 1)
-    t = int(np.argmin(q[rows, cols]))
-    return int(rows[t]), int(cols[t]), q
+    np.copyto(q, np.inf, where=np.tri(n, dtype=bool))
+    a, b = min(
+        (divmod(int(t), n) for t in np.flatnonzero(q == q.min())),
+        key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
+    )
+    return a, b, q
 
 
 def generalized_nj_cherry(delta_m: MDissimilarityMap):
@@ -445,7 +441,7 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
     single, joint = _subset_sums(delta_m)
     order = sorted(range(n), key=taxa.__getitem__)
     names = [taxa[i] for i in order]
-    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m)
+    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m, names)
     table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
     return (names[a], names[b]), table
 
@@ -478,10 +474,11 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     picking on the subtree-length criterion.
 
     Joining a cherry (x, y) into z replaces triple values by the average
-    (delta(x,i,j) + delta(y,i,j)) / 2 minus half the x-y distance: the
-    subtraction removes the two pendant edges, so the reduced map is
-    again an exact 3-map of the reduced tree (plain averaging would
-    shift every z-triple and bias later picks).  Pairwise distances are
+    (delta(x,i,j) + delta(y,i,j)) / 2.  After a join the triple array is
+    no longer an exact 3-map (every z-triple still carries half the two
+    pendant edges), and only its criterion is read: a shift c on every
+    triple through z moves every criterion entry by the same amount,
+    -1.5 c (r-2) on r clusters, so no pick changes.  Pairwise distances are
     derived once by :func:`pairwise_from_3map` and carried along with
     the standard (d(x,k) + d(y,k) - d(x,y)) / 2 reduction; they resolve
     the final quartet, where the triple criterion is constant across
@@ -513,14 +510,14 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     while len(nodes) > 3:
         # the quartet stage reads pairs, whose criterion picks a true cherry
         m, joint = (3, triples.sum(axis=2)) if len(nodes) > 4 else (2, pairs)
-        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m)
+        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m, names)
         hub = tree.add_node()
         tree.add_edge(nodes[a], hub, 0.0)
         tree.add_edge(nodes[b], hub, 0.0)
         nodes[a] = hub
-        del nodes[b]
+        del nodes[b], names[b]
         pendant = pairs[a, b]
-        merged = 0.5 * (triples[a] + triples[b]) - 0.5 * pendant
+        merged = 0.5 * (triples[a] + triples[b])
         merged[a] = merged[:, a] = 0.0
         np.fill_diagonal(merged, 0.0)
         triples[a] = triples[:, a] = triples[:, :, a] = merged

@@ -243,6 +243,60 @@ def test_pattern_probability_root_placement_invariance():
         )
 
 
+def _breadth_first_pruning(tree, pattern):
+    """Pruning from the same root by an independent walk: (node, parent)
+    pairs breadth first, walked backwards, each node multiplying in its
+    children in adjacency order through edge matrices stored both ways."""
+    mats = {}
+    for u, v, length in tree.edges():
+        mats[(u, v)] = mats[(v, u)] = edge_params_from_length(length).matrix()
+    root = evolution._pruning_root(tree)
+    order = [(root, None)]
+    for node, parent in order:
+        order.extend((child, node) for child in tree.neighbors(node) if child != parent)
+    below = {}
+    for node, parent in reversed(order):
+        if tree.is_leaf(node):
+            out = np.zeros(4)
+            out[NUC.index(pattern[tree.label_of(node)])] = 1.0
+        else:
+            out = np.ones(4)
+        for child in tree.neighbors(node):
+            if child != parent:
+                out = out * (mats[(node, child)] @ below.pop(child))
+        below[node] = out
+    return float(np.full(4, 0.25) @ below[root])
+
+
+def test_pattern_probability_matches_breadth_first_pruning():
+    from phylokit.formats import parse_newick
+
+    g = rng(89)
+    cases = []
+    for seed in range(60):
+        tree = random_tree(900 + seed, int(g.integers(3, 61)))
+        for _ in range(3):
+            letters = g.integers(0, 4, size=len(tree.taxa))
+            cases.append((tree, {t: NUC[i] for t, i in zip(tree.taxa, letters)}))
+    two = PhyloTree()  # no internal node: the root is a leaf
+    two.add_edge(two.add_node(label="x"), two.add_node(label="y"), 0.3)
+    cases += [(two, {"x": a, "y": b}) for a in NUC for b in NUC]
+    rooted = parse_newick("((a:0.1,b:0.2):0.05,(c:0.3,(d:0.15,e:0.25):0.4):0.6);")
+    assert 2 in [rooted.degree(v) for v in rooted.nodes()]
+    cases += [(rooted, dict(zip("abcde", letters))) for letters in ("AAAAA", "ACGTA", "TTGCA")]
+    # mostly A, so the value stays far from underflow
+    deep = caterpillar(1200, 3400)
+    for flips in (0, 5, 40):
+        pattern = {t: "A" for t in deep.taxa}
+        for t in g.choice(deep.taxa, size=flips, replace=False):
+            pattern[str(t)] = NUC[int(g.integers(1, 4))]
+        cases.append((deep, pattern))
+    for tree, pattern in cases:
+        expected = _breadth_first_pruning(tree, pattern)
+        assert expected > 0.0
+        assert pattern_probability(tree, pattern) == pytest.approx(expected, rel=1e-12)
+
+
 def test_pattern_probability_missing_leaf_is_an_error():
     tree = _claw_tree(0.1, 0.2, 0.3)
     with pytest.raises(ValueError, match="missing"):

@@ -557,6 +557,72 @@ def test_cli_gr36_rejects_nan_values(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+_TWO_STATE_HMM = {
+    "S": [[0.9, 0.1], [0.2, 0.8]],
+    "T": [[0.7, 0.3], [0.4, 0.6]],
+    "init": [0.5, 0.5],
+}
+
+
+def _exit_2_without_output(argv, capsys, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_cli_rejects_parameter_files_that_are_not_objects(tmp_path, capsys):
+    obs = tmp_path / "obs.txt"
+    obs.write_text("0101\n")
+    params = tmp_path / "params.json"
+    params.write_text("[1]")
+    hmm_argv = ["hmm", "forward", "--params", str(params), "--observations", str(obs)]
+    _exit_2_without_output(hmm_argv, capsys, "JSON object")
+    align_argv = ["align", "prob", "--params", str(params), "--seq1", "AC", "--seq2", "A"]
+    _exit_2_without_output(align_argv, capsys, "JSON object")
+    for labels in (5, [[1], [2]], [0, 1]):
+        params.write_text(json.dumps({**_TWO_STATE_HMM, "labels": labels}))
+        _exit_2_without_output(hmm_argv, capsys, "strings")
+
+
+def test_cli_hmm_train_rejects_negative_max_iters(tmp_path, capsys):
+    from phylokit.hmm import HmmParams, baum_welch_train
+
+    with pytest.raises(ValueError, match="max_iters"):
+        baum_welch_train(HmmParams.from_dict(_TWO_STATE_HMM), [[0, 1]], max_iters=-1)
+    params = tmp_path / "hmm.json"
+    params.write_text(json.dumps(_TWO_STATE_HMM))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("0101\n")
+    argv = ["hmm", "train", "--params", str(params), "--observations", str(obs)]
+    _exit_2_without_output(argv + ["--max-iters", "-1"], capsys, "max_iters")
+    assert main(argv + ["--max-iters", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(params.read_text()) | {
+        "k": 2, "l": 2, "mode": "stochastic", "labels": ["0", "1"]
+    }
+
+
+def test_cli_pipeline_rejects_a_non_finite_genome_length(capsys):
+    for length in ("nan", "inf", "-inf", "0"):
+        argv = ["pipeline", "--distances", _table3_path(), f"--genome-length={length}"]
+        _exit_2_without_output(argv, capsys, "finite and positive")
+    with pytest.raises(ValueError, match="genome length"):
+        PipelineConfig(distances="x", genome_length=math.nan)
+
+
+def test_cli_hmm_rejects_an_alphabet_with_repeated_symbols(tmp_path, capsys):
+    params = tmp_path / "hmm.json"
+    params.write_text(
+        json.dumps({"S": [[1.0]], "T": [[0.25, 0.25, 0.25, 0.25]], "init": [1.0]})
+    )
+    obs = tmp_path / "obs.txt"
+    obs.write_text("ACGA\n")
+    argv = ["hmm", "forward", "--params", str(params), "--observations", str(obs)]
+    _exit_2_without_output(argv + ["--alphabet", "AACG"], capsys, "repeats")
+    assert main(argv + ["--alphabet", "ACGT"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["probability"] == pytest.approx(0.25**4)
+
+
 def test_simulate_and_rebuild_script_runs():
     import os
     import subprocess
