@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -300,11 +301,13 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 # consume i letters of the first and j of the second sequence and end in
 # state k.  The empty prefix at (0, 0) is a fourth, start state, whose
 # transitions carry no factor: the first position has only its emission.
-# The grid is swept one anti-diagonal d = i + j at a time.  A diagonal is
-# a (4, n + 2) array of states by row, row i at column i + 1 (column 0
-# stands for the missing row -1), and only the two previous diagonals are
-# kept.  States that cannot occur (M or I at j = 0, M or D at i = 0, the
-# start state away from (0, 0)) hold the semiring's zero.
+# The grid is swept one anti-diagonal d = i + j (rows lo .. hi) at a time
+# on buffers made once per call: three (4, n + 2) diagonals, states by
+# row with row i at column i + 1 (column 0 is the missing row -1), and
+# one (3 targets, 4 sources, n + 1) buffer of candidates, (predecessor
+# times transition) times emission.  Spans only grow upwards, so what a
+# diagonal reads and none wrote is zero, as are the states that cannot
+# occur (M or I at j = 0, M or D at i = 0).
 #
 # Probability rescales every diagonal by an exact power of two, so that
 # its largest entry lies in [1/2, 1), and carries the exponents apart
@@ -314,91 +317,98 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 # Max-plus adds in the order (prev + log trans) + log emit and keeps, per
 # node, a bit mask of the predecessor states that reach the maximum
 # exactly; its zero is NaN, so a missing state neither wins nor ties.
-# Ties are resolved once, at the end.  Every node on an optimal path is
-# marked backwards from the best final states; the word is then read
-# forwards from (0, 0), taking at each step the smallest letter
-# (D < I < M) into a marked node by a tight edge.  Words that end at the
-# same cell are never prefixes of one another, so this greedy walk gives
-# the lexicographically smallest optimal word.
+# Ties are resolved once, at the end: every node on an optimal path is
+# marked backwards from the best final states, and the word is read
+# forwards from (0, 0), taking the smallest letter (D < I < M) into a
+# marked node by a tight edge; as words ending at one cell are never
+# prefixes of one another, that is the lexicographically smallest one.
 
 _START = 3
 #: (rows, columns) that each state's letter consumes, by state index
 _MOVES = ((1, 1), (0, 1), (1, 0))
 _WALK_ORDER = (_S["D"], _S["I"], _S["M"])
+_SOURCE_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
+#: _KEEP[k, v] is 0xFF if state bit k of the mask v is set, else 0
+_KEEP = np.array([[255 * (v >> k & 1) for v in range(8)] for k in range(3)], np.uint8)
 
 
 def _codes(seq: str) -> np.ndarray:
     return np.array([_NUC_INDEX[c] for c in seq], dtype=np.intp)
 
 
-def _sweep(tables, s1: str, s2: str, zero: float, start: float, step) -> np.ndarray:
+def _sweep(tables, s1: str, s2: str, zero: float, one: float, times, plus, step):
     """Run the grid over the anti-diagonals d = 1 .. n + m.
 
-    ``tables`` are the match (4x4), insert and delete emission tables in
-    the semiring's values, ``zero`` fills the states that cannot occur
-    and ``start`` is the empty prefix's value.  ``step(d, lo, hi, src,
-    emit)`` returns diagonal d's (3, hi - lo + 1) entries for rows lo ..
-    hi; ``src[k]`` holds the (4, rows) predecessor entries of target
-    state k and ``emit[k]`` its emissions.  Returns the final cell's
-    entries for M, I and D.
-    """
-    match, insert, delete = tables
-    a, b = _codes(s1), _codes(s2)
-    n, m = len(a), len(b)
-    a_pad = np.concatenate(([0], a))  # a_pad[i] = a[i - 1]
-    b_rev = np.concatenate((b[::-1], [0]))  # b_rev[m - j] = b[j - 1]
-    ins_rev, del_pad = insert[b_rev], delete[a_pad]
-    prev2 = np.full((4, n + 2), zero)
-    prev1 = np.full((4, n + 2), zero)
-    prev1[_START, 1] = start
+    ``tables`` are the transition, match, insert and delete tables in the
+    semiring's values, ``zero`` and ``one`` its neutral elements and the
+    ufuncs ``times`` and ``plus`` its product and sum.  ``step(d, lo, hi,
+    cand, nodes)`` sees views of diagonal d's (3, 4, w) candidates by target
+    and source and its (3, w) sums for rows lo .. hi, and may rewrite
+    ``nodes`` in place.  Returns the final cell's M, I and D."""
+    trans, match, insert, delete = tables
+    trans = np.vstack((trans, np.full(3, one))).T[:, :, None]  # [target, source]
+    a, b = (np.concatenate(([0], _codes(s))) for s in (s1, s2))  # 1-based letters
+    n, m = len(a) - 1, len(b) - 1
+    ins_rev, del_pad = insert[b[::-1]], delete[a]  # ins_rev[m - j]: into column j
+    # (i, d - i) emits match_at[n + m - d + at[i]] = match[a[i], b[d - i]]
+    match_at = np.concatenate((np.zeros(n), match[:, b[::-1]].ravel()))
+    at, emit_m = a * (m + 1) + np.arange(n + 1), np.empty(n + 1)
+    vals = np.full((3, 4, n + 2), zero)  # diagonal d in vals[d % 3]
+    vals[0, _START, 1] = one
+    cand = np.empty((3, 4, n + 1))
     for d in range(1, n + m + 1):
         lo, hi = max(0, d - m), min(n, d)
-        rows, up = slice(lo + 1, hi + 2), slice(lo, hi + 1)
-        cols = slice(m - d + lo, m - d + hi + 1)
-        src = np.stack((prev2[:, up], prev1[:, rows], prev1[:, up]))
-        emit = np.stack((match[a_pad[up], b_rev[cols]], ins_rev[cols], del_pad[up]))
-        cur = np.full((4, n + 2), zero)
-        cur[:3, rows] = step(d, lo, hi, src, emit)
-        prev2, prev1 = prev1, cur
-    return prev1[:3, n + 1]
+        rows, cols = slice(lo, hi + 1), slice(m - d + lo, m - d + hi + 1)
+        c = cand[:, :, :hi - lo + 1]
+        # sources: M row i - 1 of diagonal d - 2, I row i and D row i - 1 of d - 1
+        times(vals[(d - 2) % 3, :, rows], trans[0], c[0])
+        times(vals[(d - 1) % 3, :, lo + 1:hi + 2], trans[1], c[1])
+        times(vals[(d - 1) % 3, :, rows], trans[2], c[2])
+        e = emit_m[:hi - lo + 1]
+        match_at[n + m - d:].take(at[rows], None, e)
+        times(c[0], e, c[0])
+        times(c[1], ins_rev[cols], c[1])
+        times(c[2], del_pad[rows], c[2])
+        nodes = vals[d % 3, :3, lo + 1:hi + 2]
+        plus.reduce(c, 1, None, nodes)
+        step(d, lo, hi, c, nodes)
+        if d == 2:  # the start node feeds diagonals 1 and 2 only
+            vals[0, _START, 1] = zero
+    return vals[(n + m) % 3, :3, n + 1]
 
 
 def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]:
     """(mantissa, exponent) with pair probability = mantissa * 2**exponent."""
-    trans = np.vstack((p.trans, np.ones(3))).T[:, :, None]  # [target, source]
     exps = [0, 0]  # binary exponents of the diagonals so far, from d = -1
 
-    def step(d, lo, hi, src, emit):
-        cand = src * trans
-        cand *= emit[:, None, :]
-        raw = cand.sum(axis=1)
+    def step(d, lo, hi, cand, nodes):
         # M comes from diagonal d - 2: express it in d - 1's units
-        raw[0] = np.ldexp(raw[0], exps[-2] - exps[-1])
-        shift = math.frexp(raw.max())[1]
+        np.ldexp(nodes[0], exps[-2] - exps[-1], nodes[0])
+        shift = math.frexp(nodes.max())[1]
         exps.append(exps[-1] + shift)
-        return np.ldexp(raw, -shift)
+        np.ldexp(nodes, -shift, nodes)
 
-    tables = (p.emit_match, p.emit_insert, p.emit_delete)
-    final = _sweep(tables, s1, s2, 0.0, 1.0, step)
+    tables = (p.trans, p.emit_match, p.emit_insert, p.emit_delete)
+    final = _sweep(tables, s1, s2, 0.0, 1.0, np.multiply, np.add, step)
     return float(final.sum()), exps[-1]
 
 
-def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int) -> bytes:
-    """Per cell i * (m + 1) + j, the bit mask of the states whose nodes
-    lie on a path of tight edges to a best final state."""
-    marked = np.zeros((n + 1) * (m + 1), dtype=np.uint8)
+def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int, base) -> np.ndarray:
+    """Masks of the states whose nodes lie on tight paths to a best final
+    state, laid out as ``tight``.  A slice that reaches past a diagonal's
+    rows carries only empty masks: no tight edge leaves row or column -1."""
+    marked = np.zeros(tight.shape[1], dtype=np.uint8)
     marked[-1] = np.packbits(best_final, bitorder="little")[0]
-    for d in range(n + m, 0, -1):
+    buf = np.empty((3, min(n, m) + 1), dtype=np.uint8)
+    for d in range(n + m, 1, -1):  # diagonal 0 is never read
         lo, hi = max(0, d - m), min(n, d)
-        for k, (di, dj) in enumerate(_MOVES):
-            first, last = max(lo, di), min(hi, d - dj)  # rows with a predecessor
-            if first > last:
-                continue
-            cells = slice(d + first * m, d + last * m + 1, m)
-            back = di * (m + 1) + dj
-            preds = slice(cells.start - back, cells.stop - back, m)
-            marked[preds] |= tight[k, cells] * ((marked[cells] >> k) & 1)
-    return marked.tobytes()
+        bits = buf[:, :hi - lo + 1]
+        _KEEP.take(marked[base[d] + lo:base[d] + hi + 1], 1, bits)
+        bits &= tight[:, base[d] + lo:base[d] + hi + 1]
+        marked[base[d - 2] + lo - 1:base[d - 2] + hi] |= bits[0]
+        marked[base[d - 1] + lo:base[d - 1] + hi + 1] |= bits[1]
+        marked[base[d - 1] + lo - 1:base[d - 1] + hi] |= bits[2]
+    return marked
 
 
 # ---------------------------------------------------------------------------
@@ -545,37 +555,34 @@ def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
     s1, s2 = _check_sequences(s1, s2)
     n, m = len(s1), len(s2)
     with np.errstate(divide="ignore"):
-        trans = np.vstack((np.log(p.trans), np.zeros(3))).T[:, :, None]
-        tables = (np.log(p.emit_match), np.log(p.emit_insert), np.log(p.emit_delete))
-    # tight[k, i * (m + 1) + j]: bit s set when predecessor state s
-    # reaches the maximum at node (i, j, k)
-    tight = np.zeros((3, (n + 1) * (m + 1)), dtype=np.uint8)
+        tables = [np.log(t) for t in (p.trans, p.emit_match, p.emit_insert, p.emit_delete)]
+    # tight[k, base[d] + i]: bit s set when predecessor state s reaches the
+    # maximum at node (i, d - i, k); a guard entry, then each diagonal by row
+    starts = accumulate((min(n, m, d, n + m - d) + 1 for d in range(n + m)), initial=1)
+    base = [start - max(0, d - m) for d, start in enumerate(starts)]
+    tight = np.zeros((3, (n + 1) * (m + 1) + 1), dtype=np.uint8)
+    flags = np.empty((3, 4, n + 1), dtype=np.uint8)
 
-    def step(d, lo, hi, src, emit):
-        cand = src + trans
-        cand += emit[:, None, :]
-        best = np.fmax.reduce(cand, axis=1)
-        ties = np.packbits(cand == best[:, None, :], axis=1, bitorder="little")
-        tight[:, d + lo * m:d + hi * m + 1:m] = ties[:, 0]
-        return best
+    def step(d, lo, hi, cand, nodes):
+        f = flags[:, :, :hi - lo + 1]
+        np.equal(cand, nodes[:, None, :], f)
+        f *= _SOURCE_BITS
+        np.add.reduce(f, 1, None, tight[:, base[d] + lo:base[d] + hi + 1])
 
-    final = _sweep(tables, s1, s2, np.nan, 0.0, step)
+    final = _sweep(tables, s1, s2, np.nan, 0.0, np.add, np.fmax, step)
     score = np.fmax.reduce(final)
-    marked = _mark(tight, final == score, n, m)
-    tight_bytes = [row.tobytes() for row in tight]
+    marked = _mark(tight, final == score, n, m, base).data
+    tight = [t.data for t in tight]
     word = []
     i = j = 0
     state = _START
     while i < n or j < m:
         for k in _WALK_ORDER:
             di, dj = _MOVES[k]
-            cell = (i + di) * (m + 1) + j + dj
-            if (
-                i + di <= n
-                and j + dj <= m
-                and marked[cell] >> k & 1
-                and tight_bytes[k][cell] >> state & 1
-            ):
+            if i + di > n or j + dj > m:
+                continue
+            node = base[i + di + j + dj] + i + di
+            if marked[node] >> k & 1 and tight[k][node] >> state & 1:
                 break
         word.append(STATES[k])
         i, j, state = i + di, j + dj, k
@@ -592,6 +599,11 @@ def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlig
     weights e^{-penalty} would underflow, first have all three log
     weights divided by max(mismatch, gap) / 700, which keeps the
     arg-max.  A score that is not finite raises ``ValueError``.
+
+    The division is in floats: once a penalty exceeds the unit match
+    score about 1e16-fold, the +-1 letter weights round away in ``exp``,
+    all words with the fewest indels tie and D < I < M picks one
+    (``ACGT``/``ACG`` at mismatch 1 and gap 1e308 gives ``DMMM``).
     """
     s1, s2 = _check_sequences(s1, s2)
     c = max(1.0, scheme.mismatch / 700, scheme.gap / 700)

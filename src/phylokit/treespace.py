@@ -274,6 +274,7 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
     # sort key of an agglomerated cluster: its smallest original label
     keys = list(delta.taxa)
     values = np.array(delta.values)
+    lower = np.tri(n, dtype=bool)  # one mask; each join reads its leading block
 
     def attach(node: int, hub: int, length: float, key: str) -> None:
         if length < 0:
@@ -289,7 +290,7 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
     while len(nodes) > 3:
         m = len(nodes)
         r = values.sum(axis=1)
-        a, b, _ = _cherry_pick(r, values, 2, keys)
+        a, b, _ = _cherry_pick(r, values, 2, keys, lower)
         dab = values[a, b]
         la = 0.5 * dab + (r[a] - r[b]) / (2.0 * (m - 2))
         lb = dab - la
@@ -410,14 +411,16 @@ def _subset_sums(delta_m: MDissimilarityMap) -> tuple[np.ndarray, np.ndarray]:
     return single, joint
 
 
-def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys):
+def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys, lower):
     """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j and its
     arg-min pair a < b: the exact minimum, then the smallest sorted pair
     of ``keys``.  The criterion is not bit-symmetric, so only a < b is
-    read; the diagonal and below are set to inf."""
+    read; the diagonal and below are set to inf through the leading
+    n x n block of ``lower``, a boolean ``np.tri`` mask of n or more rows
+    that callers make once per run."""
     n = len(single)
     q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
-    np.copyto(q, np.inf, where=np.tri(n, dtype=bool))
+    np.copyto(q, np.inf, where=lower[:n, :n])
     a, b = min(
         (divmod(int(t), n) for t in np.flatnonzero(q == q.min())),
         key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
@@ -441,7 +444,8 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
     single, joint = _subset_sums(delta_m)
     order = sorted(range(n), key=taxa.__getitem__)
     names = [taxa[i] for i in order]
-    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m, names)
+    lower = np.tri(n, dtype=bool)
+    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m, names, lower)
     table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
     return (names[a], names[b]), table
 
@@ -504,13 +508,14 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     for i, j, k in permutations(members.T):
         triples[i, j, k] = vals
     pairs = np.zeros((4, 4))  # on four taxa every pairing ties: take the smallest
+    lower = np.tri(len(names), dtype=bool)
     if delta_m.size >= 5:
         _, pairs = _sorted_values(pairwise_from_3map(delta_m))
 
     while len(nodes) > 3:
         # the quartet stage reads pairs, whose criterion picks a true cherry
         m, joint = (3, triples.sum(axis=2)) if len(nodes) > 4 else (2, pairs)
-        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m, names)
+        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m, names, lower)
         hub = tree.add_node()
         tree.add_edge(nodes[a], hub, 0.0)
         tree.add_edge(nodes[b], hub, 0.0)

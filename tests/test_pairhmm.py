@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import phylokit
+from phylokit import pairhmm
 from phylokit.pairhmm import (
     PairHmmParams,
     ScoringScheme,
@@ -503,6 +504,187 @@ def test_viterbi_all_ones_model_at_200_gives_all_d_then_all_i():
     g = rng(76)
     s1, s2 = _random_dna(g, 200), _random_dna(g, 200)
     assert viterbi_alignment(p, s1, s2).word == "D" * 200 + "I" * 200
+
+
+# ---------------------------------------------------------------------------
+# the grid sweep against a per-diagonal stacking copy
+
+# A test-local grid sweep that stacks each diagonal's predecessors and
+# emissions into fresh arrays, marks ties per state with clamped row
+# spans and indexes cells i * (m + 1) + j.  The package's sweep on
+# preallocated buffers must reproduce it bit for bit: words, scores and
+# (mantissa, exponent) pairs.
+_GRID_MOVES = ((1, 1), (0, 1), (1, 0))
+
+
+def _stacked_sweep(tables, s1, s2, zero, start, step):
+    match, insert, delete = tables
+    a = np.array([_IDX[c] for c in s1], dtype=np.intp)
+    b = np.array([_IDX[c] for c in s2], dtype=np.intp)
+    n, m = len(a), len(b)
+    a_pad = np.concatenate(([0], a))
+    b_rev = np.concatenate((b[::-1], [0]))
+    ins_rev, del_pad = insert[b_rev], delete[a_pad]
+    prev2 = np.full((4, n + 2), zero)
+    prev1 = np.full((4, n + 2), zero)
+    prev1[3, 1] = start
+    for d in range(1, n + m + 1):
+        lo, hi = max(0, d - m), min(n, d)
+        rows, up = slice(lo + 1, hi + 2), slice(lo, hi + 1)
+        cols = slice(m - d + lo, m - d + hi + 1)
+        src = np.stack((prev2[:, up], prev1[:, rows], prev1[:, up]))
+        emit = np.stack((match[a_pad[up], b_rev[cols]], ins_rev[cols], del_pad[up]))
+        cur = np.full((4, n + 2), zero)
+        cur[:3, rows] = step(d, lo, hi, src, emit)
+        prev2, prev1 = prev1, cur
+    return prev1[:3, n + 1]
+
+
+def _stacked_scaled_probability(p, s1, s2):
+    trans = np.vstack((p.trans, np.ones(3))).T[:, :, None]
+    exps = [0, 0]
+
+    def step(d, lo, hi, src, emit):
+        cand = src * trans
+        cand *= emit[:, None, :]
+        raw = cand.sum(axis=1)
+        raw[0] = np.ldexp(raw[0], exps[-2] - exps[-1])
+        shift = math.frexp(raw.max())[1]
+        exps.append(exps[-1] + shift)
+        return np.ldexp(raw, -shift)
+
+    tables = (p.emit_match, p.emit_insert, p.emit_delete)
+    final = _stacked_sweep(tables, s1, s2, 0.0, 1.0, step)
+    return float(final.sum()), exps[-1]
+
+
+def _stacked_viterbi(p, s1, s2):
+    n, m = len(s1), len(s2)
+    with np.errstate(divide="ignore"):
+        trans = np.vstack((np.log(p.trans), np.zeros(3))).T[:, :, None]
+        tables = (np.log(p.emit_match), np.log(p.emit_insert), np.log(p.emit_delete))
+    tight = np.zeros((3, (n + 1) * (m + 1)), dtype=np.uint8)
+
+    def step(d, lo, hi, src, emit):
+        cand = src + trans
+        cand += emit[:, None, :]
+        best = np.fmax.reduce(cand, axis=1)
+        ties = np.packbits(cand == best[:, None, :], axis=1, bitorder="little")
+        tight[:, d + lo * m:d + hi * m + 1:m] = ties[:, 0]
+        return best
+
+    final = _stacked_sweep(tables, s1, s2, np.nan, 0.0, step)
+    score = np.fmax.reduce(final)
+    marked = np.zeros((n + 1) * (m + 1), dtype=np.uint8)
+    marked[-1] = np.packbits(final == score, bitorder="little")[0]
+    for d in range(n + m, 0, -1):
+        lo, hi = max(0, d - m), min(n, d)
+        for k, (di, dj) in enumerate(_GRID_MOVES):
+            first, last = max(lo, di), min(hi, d - dj)
+            if first > last:
+                continue
+            cells = slice(d + first * m, d + last * m + 1, m)
+            back = di * (m + 1) + dj
+            preds = slice(cells.start - back, cells.stop - back, m)
+            marked[preds] |= tight[k, cells] * ((marked[cells] >> k) & 1)
+    word = []
+    i = j = 0
+    state = 3
+    while i < n or j < m:
+        for k in (2, 1, 0):  # D < I < M
+            di, dj = _GRID_MOVES[k]
+            cell = (i + di) * (m + 1) + j + dj
+            if (
+                i + di <= n
+                and j + dj <= m
+                and marked[cell] >> k & 1
+                and tight[k, cell] >> state & 1
+            ):
+                break
+        word.append("MID"[k])
+        i, j, state = i + di, j + dj, k
+    return "".join(word), float(score)
+
+
+def _assert_same_as_stacked(p, s1, s2):
+    got = viterbi_alignment(p, s1, s2)
+    word, score = _stacked_viterbi(p, s1, s2)
+    assert (got.word, repr(got.score)) == (word, repr(score)), (s1, s2)
+    want = _stacked_scaled_probability(p, s1, s2)
+    assert repr(pairhmm._scaled_probability(p, s1, s2)) == repr(want), (s1, s2)
+
+
+def _sweep_oracle_pairs(g, count: int) -> list[tuple[str, str]]:
+    """Random, tandem-repeat (period 1 to 3) and A/C-only pairs of
+    lengths 1-60; every fifth pair has one sequence of length 1."""
+    pairs = []
+    for t in range(count):
+        n, m = (int(v) for v in g.integers(1, 61, size=2))
+        if t % 5 == 4:
+            n, m = (1, m) if t % 10 == 4 else (n, 1)
+        kind = t % 3
+        if kind == 0:
+            pairs.append((_random_dna(g, n), _random_dna(g, m)))
+        elif kind == 1:
+            unit = _random_dna(g, int(g.integers(1, 4)))
+            reps = unit * (max(n, m) // len(unit) + 2)
+            phase = int(g.integers(0, len(unit)))
+            pairs.append((reps[:n], reps[phase:phase + m]))
+        else:
+            pairs.append(tuple("".join("AC"[c] for c in g.integers(0, 2, k)) for k in (n, m)))
+    return pairs
+
+
+def _zero_transition_params(g) -> PairHmmParams:
+    """Random weights with some transitions exactly 0 (log -inf)."""
+    trans = g.random((3, 3)) + 0.05
+    trans[g.random((3, 3)) < 0.4] = 0.0
+    return PairHmmParams(
+        trans=trans,
+        emit_match=g.random((4, 4)) + 0.05,
+        emit_insert=g.random(4) + 0.05,
+        emit_delete=g.random(4) + 0.05,
+    )
+
+
+def test_sweep_matches_the_stacked_sweep_on_random_tie_and_two_letter_pairs():
+    g = rng(90)
+    makers = (
+        _random_pair_params,
+        lambda g: scoring_scheme_params(
+            ScoringScheme(mismatch=float(g.integers(0, 3)), gap=float(g.integers(0, 3)))
+        ),
+        _integer_log_params,
+        _zero_transition_params,
+    )
+    for t, (s1, s2) in enumerate(_sweep_oracle_pairs(g, 240)):
+        _assert_same_as_stacked(makers[t % 4](g), s1, s2)
+
+
+def test_sweep_matches_the_stacked_sweep_at_underflow_and_overflow():
+    g = rng(91)
+    p = _random_pair_params(g, mode="stochastic")
+    s1, s2 = _random_dna(g, 310), _random_dna(g, 300)
+    assert pair_probability(p, s1, s2) == 0.0
+    _assert_same_as_stacked(p, s1, s2)
+    p = scoring_scheme_params(ScoringScheme(mismatch=0.0, gap=0.0))
+    s1, s2 = "A" * 400, "A" * 390
+    assert pair_probability(p, s1, s2) == math.inf
+    _assert_same_as_stacked(p, s1, s2)
+
+
+def test_grid_memory_at_400_stays_small():
+    g = rng(92)
+    p = _random_pair_params(g)
+    s1, s2 = _random_dna(g, 400), _random_dna(g, 400)
+    for run in (viterbi_alignment, log_pair_probability):
+        tracemalloc.start()
+        try:
+            run(p, s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, run.__name__
 
 
 # ---------------------------------------------------------------------------
