@@ -89,32 +89,22 @@ def _cmd_align(args) -> int:
         return 0
 
     s1, s2 = _read_pair_sequences(args)
-    if args.align_command == "prob":
-        params = pair_params_from_json(Path(args.params).read_text())
-        value = pairhmm.pair_probability(params, s1, s2)
-        log_value = pairhmm.log_pair_probability(params, s1, s2)
-        _emit(args, json.dumps({"probability": value, "logProbability": log_value}))
-    elif args.align_command == "viterbi":
-        params = pair_params_from_json(Path(args.params).read_text())
-        best = pairhmm.viterbi_alignment(params, s1, s2)
-        _emit(
-            args,
-            json.dumps({"alignment": best.word, "logScore": best.score})
-            + "\n"
-            + pairhmm.format_alignment(best.word, s1.upper(), s2.upper()),
-        )
-    elif args.align_command == "score":
+    if args.align_command == "polygon":
+        _emit(args, json.dumps(pairhmm.parametric_polygon(s1, s2).to_dict()))
+        return 0
+    if args.align_command == "score":
         scheme = pairhmm.ScoringScheme(mismatch=args.mis, gap=args.gap)
-        best = pairhmm.score_alignment_basic(scheme, s1, s2)
-        _emit(
-            args,
-            json.dumps({"alignment": best.word, "score": best.score})
-            + "\n"
-            + pairhmm.format_alignment(best.word, s1.upper(), s2.upper()),
-        )
-    else:  # polygon
-        poly = pairhmm.parametric_polygon(s1, s2)
-        _emit(args, json.dumps(poly.to_dict()))
+        best, key = pairhmm.score_alignment_basic(scheme, s1, s2), "score"
+    else:
+        params = pair_params_from_json(Path(args.params).read_text())
+        if args.align_command == "prob":
+            value = pairhmm.pair_probability(params, s1, s2)
+            log_value = pairhmm.log_pair_probability(params, s1, s2)
+            _emit(args, json.dumps({"probability": value, "logProbability": log_value}))
+            return 0
+        best, key = pairhmm.viterbi_alignment(params, s1, s2), "logScore"
+    gapped = pairhmm.format_alignment(best.word, s1.upper(), s2.upper())
+    _emit(args, json.dumps({"alignment": best.word, key: best.score}) + "\n" + gapped)
     return 0
 
 
@@ -154,13 +144,10 @@ def _cmd_hmm(args) -> int:
         encoded = [[int(c) for c in line] for line in lines]
 
     if args.hmm_command == "forward":
+        log_ps = [hmm.log_forward(params, obs) for obs in encoded]
         rows = [
-            {
-                "observation": line,
-                "probability": hmm.forward_probability(params, obs),
-                "logProbability": hmm.log_forward(params, obs),
-            }
-            for line, obs in zip(lines, encoded)
+            {"observation": s, "probability": float(np.exp(lp)), "logProbability": lp}
+            for s, lp in zip(lines, log_ps)
         ]
         _emit(args, json.dumps(rows))
     elif args.hmm_command == "viterbi":

@@ -97,26 +97,16 @@ def enumerate_alignments(n: int, m: int, cap: int = ENUMERATION_CAP) -> list[str
             f"{count} alignments of lengths ({n}, {m}) exceed the cap of {cap}"
         )
     out: list[str] = []
-    word: list[str] = []
-
-    def rec(r1: int, r2: int) -> None:
-        if r1 == 0 and r2 == 0:
-            out.append("".join(word))
-            return
-        if r1 > 0:
-            word.append("D")
-            rec(r1 - 1, r2)
-            word.pop()
-        if r2 > 0:
-            word.append("I")
-            rec(r1, r2 - 1)
-            word.pop()
-        if r1 > 0 and r2 > 0:
-            word.append("M")
-            rec(r1 - 1, r2 - 1)
-            word.pop()
-
-    rec(n, m)
+    stack = [("", n, m)]
+    while stack:
+        prefix, r1, r2 = stack.pop()
+        if r1 == 0 or r2 == 0:  # only D or only I letters remain: one word
+            out.append(prefix + "D" * r1 + "I" * r2)
+            continue
+        # push M, then I, then D, so that D pops first
+        stack.append((prefix + "M", r1 - 1, r2 - 1))
+        stack.append((prefix + "I", r1, r2 - 1))
+        stack.append((prefix + "D", r1 - 1, r2))
     return out
 
 
@@ -247,12 +237,18 @@ def _check_sequences(s1: str, s2: str) -> tuple[str, str]:
 # direct evaluation of one alignment word
 
 
-def _emission(p: PairHmmParams, state: str, a: str | None, b: str | None) -> float:
-    if state == "M":
-        return float(p.emit_match[_NUC_INDEX[a], _NUC_INDEX[b]])
-    if state == "I":
-        return float(p.emit_insert[_NUC_INDEX[b]])
-    return float(p.emit_delete[_NUC_INDEX[a]])
+def _columns(word: str, s1: str, s2: str):
+    """The columns of an alignment word of s1 and s2 in order: (state,
+    letter of s1 or None, letter of s2 or None), None marking a gap."""
+    validate_alignment(word, len(s1), len(s2))
+    i = j = 0
+    for state in word:
+        a = b = None
+        if state != "I":
+            a, i = s1[i], i + 1
+        if state != "D":
+            b, j = s2[j], j + 1
+        yield state, a, b
 
 
 def _factors(p: PairHmmParams, word: str, s1: str, s2: str):
@@ -260,18 +256,15 @@ def _factors(p: PairHmmParams, word: str, s1: str, s2: str):
     position's transition from the previous state (none for the first
     position), then its emission."""
     s1, s2 = _check_sequences(s1, s2)
-    validate_alignment(word, len(s1), len(s2))
-    i = j = 0
-    prev: str | None = None
-    for state in word:
-        if state in "MD":
-            i += 1
-        if state in "MI":
-            j += 1
-        if prev is not None:
-            yield float(p.trans[_S[prev], _S[state]])
-        yield _emission(p, state, s1[i - 1], s2[j - 1])
-        prev = state
+    for k, (state, a, b) in enumerate(_columns(word, s1, s2)):
+        if k:
+            yield float(p.trans[_S[word[k - 1]], _S[state]])
+        if state == "M":
+            yield float(p.emit_match[_NUC_INDEX[a], _NUC_INDEX[b]])
+        elif state == "I":
+            yield float(p.emit_insert[_NUC_INDEX[b]])
+        else:
+            yield float(p.emit_delete[_NUC_INDEX[a]])
 
 
 def alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
@@ -379,6 +372,7 @@ def _sweep(tables, s1: str, s2: str, zero: float, one: float, times, plus, step)
 
 def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]:
     """(mantissa, exponent) with pair probability = mantissa * 2**exponent."""
+    s1, s2 = _check_sequences(s1, s2)
     exps = [0, 0]  # binary exponents of the diagonals so far, from d = -1
 
     def step(d, lo, hi, cand, nodes):
@@ -531,7 +525,6 @@ def pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
     alignments of the alignment's parameter monomial, in O(n*m).  Below
     the smallest double this is 0.0; :func:`log_pair_probability` stays
     finite."""
-    s1, s2 = _check_sequences(s1, s2)
     mantissa, exponent = _scaled_probability(p, s1, s2)
     try:
         return math.ldexp(mantissa, exponent)
@@ -542,7 +535,6 @@ def pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
 def log_pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
     """Natural log of :func:`pair_probability`, computed from the scaled
     sweep, so it is finite even where the probability underflows."""
-    s1, s2 = _check_sequences(s1, s2)
     mantissa, exponent = _scaled_probability(p, s1, s2)
     if mantissa == 0.0:
         return NEG_INF
@@ -593,36 +585,29 @@ def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlig
     """Best alignment under +1 match / -mismatch / -gap position scores.
 
     By construction this is :func:`viterbi_alignment` on
-    :func:`scoring_scheme_params`, whose logs are exactly these position
-    scores with zero transition weights; the reported score re-scores
-    the word in exact position arithmetic.  Penalties above 700, whose
-    weights e^{-penalty} would underflow, first have all three log
-    weights divided by max(mismatch, gap) / 700, which keeps the
-    arg-max.  A score that is not finite raises ``ValueError``.
+    :func:`scoring_scheme_params`, whose logs are these position scores
+    up to rounding, with zero transition weights; the reported score
+    re-scores the word in exact position arithmetic.  Penalties above
+    700, whose weights e^{-penalty} would underflow, first have all
+    three log weights divided by max(mismatch, gap) / 700, which keeps
+    the arg-max.  A score that is not finite raises ``ValueError``.
 
-    The division is in floats: once a penalty exceeds the unit match
-    score about 1e16-fold, the +-1 letter weights round away in ``exp``,
-    all words with the fewest indels tie and D < I < M picks one
-    (``ACGT``/``ACG`` at mismatch 1 and gap 1e308 gives ``DMMM``).
+    Ties are broken on the rounded logs, not on the exact scores:
+    ``A``/``C`` at mismatch 0.125 and gap 0.0625 gives ``M`` (log weight
+    -0.12499999999999994) over ``DI`` (-0.12499999999999996), although
+    both score -0.125 and D < I < M would pick ``DI``.  The division is
+    in floats too: once a penalty exceeds the unit match score about
+    1e16-fold, the +-1 letter weights round away in ``exp``, all words
+    with the fewest indels tie and D < I < M picks one (``ACGT``/``ACG``
+    at mismatch 1 and gap 1e308 gives ``DMMM``).
     """
     s1, s2 = _check_sequences(s1, s2)
     c = max(1.0, scheme.mismatch / 700, scheme.gap / 700)
     params = _log_weight_params(1.0 / c, scheme.mismatch / c, scheme.gap / c)
     best = viterbi_alignment(params, s1, s2)
-    matches = mismatches = indels = 0
-    i = j = 0
-    for state in best.word:
-        if state == "M":
-            i += 1
-            j += 1
-            if s1[i - 1] == s2[j - 1]:
-                matches += 1
-            else:
-                mismatches += 1
-        else:
-            i, j = (i + 1, j) if state == "D" else (i, j + 1)
-            indels += 1
-    score = matches - scheme.mismatch * mismatches - scheme.gap * indels
+    same = [a == b for state, a, b in _columns(best.word, s1, s2) if state == "M"]
+    matches, indels = sum(same), len(best.word) - len(same)
+    score = matches - scheme.mismatch * (len(same) - matches) - scheme.gap * indels
     if not math.isfinite(score):
         raise ValueError(f"alignment score {score} is not finite")
     return ScoredAlignment(best.word, float(score))
@@ -664,17 +649,7 @@ def parametric_polygon(s1: str, s2: str) -> ParametricPolygon:
 
 def format_alignment(word: str, s1: str, s2: str) -> str:
     """Two-row gapped rendering of an alignment word."""
-    validate_alignment(word, len(s1), len(s2))
-    top, bottom = [], []
-    i = j = 0
-    for state in word:
-        if state == "M":
-            top.append(s1[i]); bottom.append(s2[j])
-            i += 1; j += 1
-        elif state == "I":
-            top.append("-"); bottom.append(s2[j])
-            j += 1
-        else:
-            top.append(s1[i]); bottom.append("-")
-            i += 1
-    return "".join(top) + "\n" + "".join(bottom)
+    columns = list(_columns(word, s1, s2))
+    top = "".join(a or "-" for _, a, _ in columns)
+    bottom = "".join(b or "-" for _, _, b in columns)
+    return top + "\n" + bottom

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,7 +238,8 @@ def _read_input(source: str | Path) -> str:
     if isinstance(source, Path):
         return source.read_text()
     text = str(source)
-    if "\n" not in text and Path(text).exists():
+    # isfile returns False where Path.exists raises: on text too long for a file name
+    if "\n" not in text and os.path.isfile(text):
         return Path(text).read_text()
     return text
 

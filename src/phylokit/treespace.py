@@ -69,18 +69,12 @@ class DissimilarityMap:
 
 
 @dataclass(frozen=True)
-class MetricVerdict:
+class Verdict:
+    """Outcome of a tree-metric check and its first violating taxa: a
+    triple for :func:`check_metric`, a quartet for :func:`check_four_point`."""
+
     ok: bool
-    violation: tuple[str, str, str] | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
-class FourPointVerdict:
-    ok: bool
-    violation: tuple[str, str, str, str] | None = None
+    violation: tuple[str, ...] | None = None
 
     def __bool__(self):
         return self.ok
@@ -92,7 +86,7 @@ def _sorted_values(delta: DissimilarityMap) -> tuple[list[str], np.ndarray]:
     return [delta.taxa[i] for i in order], delta.values[np.ix_(order, order)]
 
 
-def check_metric(delta: DissimilarityMap) -> MetricVerdict:
+def check_metric(delta: DissimilarityMap) -> Verdict:
     """Non-negativity plus the triangle inequality.
 
     A violating triple (x, y, z) means d(x,z) > d(x,y) + d(y,z); taking
@@ -108,11 +102,11 @@ def check_metric(delta: DissimilarityMap) -> MetricVerdict:
         np.fill_diagonal(bad, False)
         if bad.any():
             y, z = divmod(int(bad.argmax()), n)
-            return MetricVerdict(False, (taxa[x], taxa[y], taxa[z]))
-    return MetricVerdict(True)
+            return Verdict(False, (taxa[x], taxa[y], taxa[z]))
+    return Verdict(True)
 
 
-def check_four_point(delta: DissimilarityMap) -> FourPointVerdict:
+def check_four_point(delta: DissimilarityMap) -> Verdict:
     """For every four taxa, the two largest of the three pair-sums must
     agree (within a slack of 1e-9).  Vacuously true below four taxa.
     The lexicographically first violating quartet is reported."""
@@ -137,10 +131,8 @@ def check_four_point(delta: DissimilarityMap) -> FourPointVerdict:
             bad = sums[:, 2] - sums[:, 1] > _FOUR_POINT_SLACK
             if bad.any():
                 k = int(bad.argmax())
-                return FourPointVerdict(
-                    False, (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]])
-                )
-    return FourPointVerdict(True)
+                return Verdict(False, (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]]))
+    return Verdict(True)
 
 
 def tree_metric(tree: PhyloTree) -> DissimilarityMap:

@@ -300,6 +300,14 @@ def test_enumeration_cap():
         enumerate_alignments(10, 10, cap=10**6)
 
 
+def test_enumerate_long_words_need_no_recursion():
+    assert enumerate_alignments(1500, 0) == ["D" * 1500]
+    words = enumerate_alignments(1500, 1)
+    assert len(words) == delannoy_count(1500, 1) == 3001
+    assert words[0] == "D" * 1500 + "I"
+    assert words[-1] == "M" + "D" * 1499
+
+
 def test_alignment_validation():
     assert is_alignment("MIID", 2, 3)
     assert not is_alignment("MIID", 3, 2)
@@ -403,6 +411,20 @@ def test_log_alignment_monomial_is_finite_on_a_long_word():
     value = log_alignment_monomial(p, word, s1, s2)
     assert math.isfinite(value)
     assert value == pytest.approx(_local_log_monomial(p, word, s1, s2), rel=1e-12)
+
+
+def test_monomials_match_the_local_evaluation_on_every_word_to_size_4():
+    # every word of these sizes, so also those that start or end with
+    # runs of D and I
+    g = rng(75)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            p = _random_pair_params(g)
+            s1, s2 = _random_dna(g, n), _random_dna(g, m)
+            for w in enumerate_alignments(n, m):
+                assert alignment_monomial(p, w, s1, s2) == _local_monomial(p, w, s1, s2)
+                want = _local_log_monomial(p, w, s1, s2)
+                assert log_alignment_monomial(p, w, s1, s2) == want
 
 
 def test_monomial_degrees_for_2_3():
@@ -977,6 +999,8 @@ def test_polygon_vertex_count_is_trivially_below_delannoy():
 
 def test_format_alignment_rendering():
     assert format_alignment("MIID", "AG", "CTT") == "A--G\nCTT-"
+    assert format_alignment("DDMII", "ACG", "TCC") == "ACG--\n--TCC"
+    assert format_alignment("IIMDD", "GTA", "CCG") == "--GTA\nCCG--"
 
 
 def test_pair_params_validation_and_round_trip():

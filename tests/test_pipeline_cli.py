@@ -27,7 +27,7 @@ from phylokit.pipeline import (
 from phylokit.treespace import m_dissimilarity, splits_of_tree
 from phylokit.evolution import simulate_leaf_sequences
 from phylokit.treespace import neighbor_join
-from phylokit.formats import parse_newick
+from phylokit.formats import parse_distance_matrix, parse_newick
 
 
 def _table3_path():
@@ -168,6 +168,15 @@ def test_pipeline_saturated_pair_is_reported():
     aln = "\n".join(f">{n}\n{s}" for n, s in records)
     with pytest.raises(ValueError, match=r"\(a, b\)"):
         run_pipeline(PipelineConfig(alignment=aln))
+
+
+def test_pipeline_reads_one_line_json_longer_than_a_file_name():
+    dm = parse_distance_matrix(read_bundled("vertebrates10.phy"))
+    text = json.dumps({"taxa": list(dm.taxa), "matrix": dm.values.tolist()})
+    assert "\n" not in text and len(text) > 255
+    report = run_pipeline(PipelineConfig(distances=text))
+    want = run_pipeline(PipelineConfig(distances=_table3_path()))
+    assert report.to_json() == want.to_json()
 
 
 def test_pipeline_config_validation():
@@ -323,6 +332,12 @@ def test_cli_align_subcommands(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"vertices", "witnesses"}
     assert len(payload["vertices"]) == len(payload["witnesses"])
+
+
+def test_cli_align_enumerate_a_long_word(capsys):
+    assert main(["align", "enumerate", "--n", "1200", "--m", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"count": 1, "alignments": ["D" * 1200]}
 
 
 def test_cli_hmm_subcommands(tmp_path, capsys):
