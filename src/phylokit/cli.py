@@ -226,7 +226,7 @@ def _cmd_tree(args) -> int:
                 {
                     "isMTree": bool(verdict),
                     "vacuous": verdict.vacuous,
-                    "witness": _jsonable(verdict.witness),
+                    "witness": verdict.witness,
                 }
             ),
         )
@@ -235,14 +235,6 @@ def _cmd_tree(args) -> int:
         residuals = treespace.gr36_residuals(md)
         _emit(args, json.dumps({"residuals": list(residuals)}))
     return 0
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return repr(obj)
 
 
 def _cmd_motif(args) -> int:

@@ -196,13 +196,14 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
 
     root = _pruning_root(tree)
     # a leaf (which may serve as the root) starts from its observed-letter
-    # indicator, any other node from ones; walked backwards, the rooted
-    # edge order reaches every child before its parent
+    # indicator, any other node from ones; walked backwards, the preorder
+    # reaches every child before its parent
     onehot = np.eye(4)
     below = {tree.node_of(t): onehot[_NUC_INDEX[pattern[t].upper()]] for t in taxa}
-    for parent, child in reversed(_rooted_edge_order(tree, root)):
-        p = edge_params_from_length(tree.edge_length(parent, child)).matrix()
-        below[parent] = below.get(parent, 1.0) * (p @ below.pop(child))
+    for parent, kids in reversed(tree.children_from(root).items()):
+        for child in reversed(kids):
+            p = edge_params_from_length(tree.edge_length(parent, child)).matrix()
+            below[parent] = below.get(parent, 1.0) * (p @ below.pop(child))
     return float(np.full(4, 0.25) @ below[root])
 
 
@@ -303,19 +304,6 @@ def _stream(seed: int, index) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rooted_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:
-    """Parent->child edges in a traversal order fixed by the smallest
-    taxon label at or below each child ("~" below a child with none)."""
-    children = tree.children_from(root)
-    order: list[tuple[int, int]] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.extend((node, child) for child in children[node])
-        stack.extend(reversed(children[node]))
-    return order
-
-
 def simulate_leaf_sequences(
     tree: PhyloTree, length: int, seed: int
 ) -> dict[str, str]:
@@ -333,7 +321,8 @@ def simulate_leaf_sequences(
     states: dict[int, np.ndarray] = {
         root: (_stream(seed, _ROOT_STREAM).random(length) * 4).astype(np.int8)
     }
-    for index, (parent, child) in enumerate(_rooted_edge_order(tree, root)):
+    edges = [(p, c) for p, kids in tree.children_from(root).items() for c in kids]
+    for index, (parent, child) in enumerate(edges):
         edge = edge_params_from_length(tree.edge_length(parent, child))
         src = states[parent]
         if edge.pi == 0.0:

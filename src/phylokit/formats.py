@@ -141,27 +141,23 @@ def emit_newick(tree: PhyloTree) -> str:
 
     first = collapsed.node_of(taxa[0])
     root = next(iter(collapsed.neighbors(first)))
-    children = collapsed.children_from(root)
-
     out: list[str] = []
-    # text still to write, last first: strings, and nodes standing for a
-    # whole subtree
-    todo: list = [";", root]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            out.append(node)
+    left: list[list[int]] = []  # [open node, children unwritten], root first
+    for node, kids in collapsed.children_from(root).items():  # preorder
+        if kids:
+            out.append("(")
+            left.append([node, len(kids)])
             continue
-        if collapsed.is_leaf(node):
-            out.append(collapsed.label_of(node))
-            continue
-        todo.append(")")
-        for i, child in enumerate(reversed(children[node])):
-            if i:
-                todo.append(",")
-            todo.append(f":{_NEWICK_LENGTH % collapsed.edge_length(node, child)}")
-            todo.append(child)
-        out.append("(")
+        out.append(collapsed.label_of(node) if collapsed.is_leaf(node) else "()")
+        while left:  # node's text is complete: write its length
+            out.append(f":{_NEWICK_LENGTH % collapsed.edge_length(left[-1][0], node)}")
+            left[-1][1] -= 1
+            if left[-1][1]:
+                out.append(",")
+                break
+            out.append(")")
+            node = left.pop()[0]
+    out.append(";")
     return "".join(out)
 
 

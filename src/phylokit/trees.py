@@ -131,9 +131,10 @@ class PhyloTree:
         return dist[dst]
 
     def children_from(self, root: int) -> dict[int, list[int]]:
-        """Every node's children when the tree hangs from ``root``, each
-        list ordered by the smallest taxon label at or below the child
-        ("~" for a child with none; ties keep neighbor order)."""
+        """Every node's children, keyed in preorder, when the tree hangs from
+        ``root``; each list is ordered by the smallest taxon label at or below
+        the child ("~" for a child with none; ties keep neighbor order).
+        Raises ValueError if the graph is disconnected or has a cycle."""
         children: dict[int, list[int]] = {root: []}
         nodes = [root]  # breadth-first, so every child follows its parent
         for node in nodes:
@@ -142,16 +143,28 @@ class PhyloTree:
                     children[c] = []
                     children[node].append(c)
                     nodes.append(c)
-        smallest: dict[int, str] = {}  # only nodes with a label at or below
+        n = len(nodes)
+        if n != len(self._adj):
+            raise ValueError(f"not a tree: disconnected, {n} of {len(self._adj)} nodes")
+        if sum(map(len, self._adj.values())) != 2 * n - 2:
+            raise ValueError(f"not a tree: a cycle, over {n - 1} edges on {n} nodes")
+        smallest = dict(self._label)  # only nodes with a label at or below
+        key = lambda c: smallest.get(c, "~")
         for node in reversed(nodes):
             kids = children[node]
-            kids.sort(key=lambda c: smallest.get(c, "~"))
-            found = [smallest[c] for c in kids if c in smallest]
-            if node in self._label:
-                found.append(self._label[node])
-            if found:
-                smallest[node] = min(found)
-        return children
+            kids.sort(key=key)
+            for c in kids:  # sorted, so the first child with a label has the least
+                if c in smallest:
+                    if node not in smallest or smallest[c] < smallest[node]:
+                        smallest[node] = smallest[c]
+                    break
+        preorder = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            preorder[node] = children[node]
+            stack.extend(reversed(children[node]))
+        return preorder
 
     # -- transforms ---------------------------------------------------
 

@@ -208,17 +208,25 @@ class SplitSystem:
         return frozenset(self.splits)
 
 
+def _leaves_below(tree: PhyloTree) -> dict[tuple[int, int], frozenset[str]]:
+    """The leaves at or below the child of every parent->child edge of the
+    tree hung from its first node: one backward pass over the preorder."""
+    children = tree.children_from(tree.nodes()[0])
+    below: dict[int, frozenset[str]] = {}
+    for node, kids in reversed(children.items()):
+        own = [tree.label_of(node)] if tree.is_leaf(node) else []
+        below[node] = frozenset(own).union(*(below[c] for c in kids))
+    return {(p, c): below[c] for p, kids in children.items() for c in kids}
+
+
 def splits_of_tree(tree: PhyloTree) -> SplitSystem:
     """Bipartitions induced by deleting each edge, deduplicated (the two
     halves of a subdivided edge induce the same split)."""
     taxa = frozenset(tree.taxa)
     if len(taxa) < 2:
         raise ValueError("splits need at least two taxa")
-    found = set()
-    for u, v, _ in tree.edges():
-        side = tree.leaves_beyond(u, v)
-        if side and side != taxa:
-            found.add(Split(inside=side, taxa=taxa))
+    sides = _leaves_below(tree).values()
+    found = {Split(inside=side, taxa=taxa) for side in sides if side and side != taxa}
     ordered = tuple(
         sorted(found, key=lambda s: (len(s.inside), sorted(s.inside)))
     )
@@ -376,8 +384,10 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
         raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
     members = np.array(list(combinations(range(len(taxa)), m)), dtype=np.intp)
     totals = np.zeros(len(members))
-    for u, v, ln in tree.edges():
-        hits = np.isin(taxa, list(tree.leaves_beyond(u, v)))[members].sum(axis=1)
+    sides = _leaves_below(tree)
+    for u, v, ln in tree.edges():  # this order fixes the float sums
+        side = sides[(u, v) if (u, v) in sides else (v, u)]
+        hits = np.isin(taxa, list(side))[members].sum(axis=1)
         totals[(hits > 0) & (hits < m)] += ln
     values = dict(zip(map(frozenset, combinations(taxa, m)), totals.tolist()))
     return MDissimilarityMap(taxa=taxa, m=m, values=values)

@@ -530,6 +530,12 @@ def _leaves_beyond_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int
     return order
 
 
+def _preorder_edges(tree: PhyloTree, root: int) -> list[tuple[int, int]]:
+    """Parent->child edges of ``children_from``, in its preorder: the
+    order simulation numbers its edge streams by."""
+    return [(p, c) for p, kids in tree.children_from(root).items() for c in kids]
+
+
 def test_rooted_edge_order_matches_leaves_beyond_order():
     trees = [random_tree(seed, 3 + seed % 25) for seed in range(40)]
     odd = PhyloTree()  # a label above "~" and a side with no label
@@ -541,15 +547,13 @@ def test_rooted_edge_order_matches_leaves_beyond_order():
     odd.add_edge(mid, odd.add_node(label="a"), 0.1)
     for tree in trees + [odd]:
         for root in tree.nodes():
-            assert evolution._rooted_edge_order(tree, root) == _leaves_beyond_edge_order(
-                tree, root
-            )
+            assert _preorder_edges(tree, root) == _leaves_beyond_edge_order(tree, root)
 
 
 def test_rooted_edge_order_on_a_2000_leaf_caterpillar():
     tree = caterpillar(2000, 3300)
     root = evolution._pruning_root(tree)
-    assert evolution._rooted_edge_order(tree, root) == _leaves_beyond_edge_order(tree, root)
+    assert _preorder_edges(tree, root) == _leaves_beyond_edge_order(tree, root)
 
 
 def test_simulation_validation():

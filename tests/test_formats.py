@@ -85,6 +85,14 @@ def test_emit_is_deterministic_and_sorted():
     text = emit_newick(tree)
     assert text == emit_newick(tree)
     assert text.index("a") < text.index("b") < text.index("c")
+    from phylokit.trees import PhyloTree
+
+    star = PhyloTree()  # an unlabeled leaf is written as an empty group, last
+    hub = star.add_node()
+    star.add_edge(hub, star.add_node(), 1.0)
+    for name in "cab":
+        star.add_edge(hub, star.add_node(label=name), 1.0)
+    assert emit_newick(star) == "(a:1.000000,b:1.000000,c:1.000000,():1.000000);"
 
 
 def test_round_trip_random_trees():

@@ -267,6 +267,29 @@ def test_cli_tree_mtree_and_gr36(tmp_path, capsys):
     assert max(abs(r) for r in residuals) <= 1e-10
 
 
+def test_cli_tree_mtree_prints_the_witness_and_the_vacuous_flag(tmp_path, capsys):
+    from phylokit.treespace import MDissimilarityMap
+
+    taxa = tuple("abcdef")
+    values = {frozenset(s): 1.0 for s in itertools.combinations(taxa, 3)}
+    values[frozenset("abc")] = 5.0  # breaks the triangle pinned at a
+    bad = tmp_path / "bad.json"
+    bad.write_text(format_m_dissimilarity(MDissimilarityMap(taxa, 3, values)))
+    assert main(["tree", "mtree", "--input", str(bad)]) == 0
+    assert capsys.readouterr().out == (
+        '{"isMTree": false, "vacuous": false, "witness": [["a"], ["b", "d", "c"]]}\n'
+    )
+
+    four = taxa[:4]  # below m + 2 taxa every 3-map passes vacuously
+    small = {k: v for k, v in values.items() if k <= set(four)}
+    path = tmp_path / "four.json"
+    path.write_text(format_m_dissimilarity(MDissimilarityMap(four, 3, small)))
+    assert main(["tree", "mtree", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"isMTree": true, "vacuous": true, "witness": null}\n'
+    )
+
+
 def test_cli_dist_round_trips_through_nj(tmp_path, capsys):
     assert main(["dist", "--alignment", _toy_alignment_path()]) == 0
     text = capsys.readouterr().out

@@ -1,0 +1,76 @@
+"""The rooted walk of ``PhyloTree``: every tree consumer reads it, it
+rejects graphs that are not trees, and no consumer walks
+``leaves_beyond`` (kept as the tests' independent oracle)."""
+
+import pytest
+
+from phylokit.evolution import (
+    all_same_probability,
+    pattern_probability,
+    simulate_leaf_sequences,
+)
+from phylokit.formats import emit_newick, parse_newick
+from phylokit.trees import PhyloTree
+from phylokit.treespace import (
+    check_m_tree,
+    m_dissimilarity,
+    neighbor_join,
+    splits_of_tree,
+    tree_metric,
+)
+
+from conftest import random_tree
+
+CONSUMERS = {
+    "children_from": lambda t: t.children_from(t.nodes()[0]),
+    "pattern_probability": lambda t: pattern_probability(t, {x: "C" for x in t.taxa}),
+    "all_same_probability": all_same_probability,
+    "simulate_leaf_sequences": lambda t: simulate_leaf_sequences(t, 20, seed=3),
+    "emit_newick": emit_newick,
+    "splits_of_tree": splits_of_tree,
+    "m_dissimilarity": lambda t: m_dissimilarity(t, 3),
+}
+
+
+def _two_components() -> PhyloTree:
+    """The 2-leaf trees a-b and c-d side by side in one graph."""
+    graph = PhyloTree()
+    for x, y in ("ab", "cd"):
+        graph.add_edge(graph.add_node(label=x), graph.add_node(label=y), 0.3)
+    return graph
+
+
+def _triangle() -> PhyloTree:
+    """Three internal nodes joined in a cycle, each carrying one leaf."""
+    graph = PhyloTree()
+    hubs = [graph.add_node() for _ in range(3)]
+    for i, name in enumerate("abc"):
+        graph.add_edge(hubs[i], hubs[(i + 1) % 3], 0.2)
+        graph.add_edge(hubs[i], graph.add_node(label=name), 0.1)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "graph, reason", [(_two_components, "disconnected"), (_triangle, "a cycle")]
+)
+@pytest.mark.parametrize("consumer", list(CONSUMERS))
+def test_consumers_reject_graphs_that_are_not_trees(graph, reason, consumer):
+    with pytest.raises(ValueError, match=f"^not a tree: {reason}"):
+        CONSUMERS[consumer](graph())
+
+
+def test_no_consumer_walks_leaves_beyond(monkeypatch):
+    tree = random_tree(5, 12)
+    sub = random_tree(6, 9)
+    for u, v, length in sub.edges()[:4]:
+        sub.split_edge(u, v, length / 2)
+
+    def refuse(self, u, v):
+        raise AssertionError("leaves_beyond is the tests' oracle, not a walk")
+
+    monkeypatch.setattr(PhyloTree, "leaves_beyond", refuse)
+    for t in (tree, sub, parse_newick("((a:1,b:2):0.5,(c:1,d:1):0.25);")):
+        for consume in CONSUMERS.values():
+            consume(t)
+    neighbor_join(tree_metric(tree))
+    check_m_tree(m_dissimilarity(tree, 3))

@@ -7,7 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from phylokit.formats import bundled_distance_matrix, bundled_reference_tree, emit_newick
+from phylokit.formats import (
+    bundled_distance_matrix,
+    bundled_reference_tree,
+    emit_newick,
+    parse_newick,
+)
 from phylokit.treespace import (
     DissimilarityMap,
     MDissimilarityMap,
@@ -29,7 +34,7 @@ from phylokit.treespace import (
     tree_metric,
 )
 
-from conftest import random_tree, rng
+from conftest import caterpillar, random_tree, rng
 
 
 def _dm(taxa, entries):
@@ -874,6 +879,44 @@ def test_m_dissimilarity_matches_the_subset_loop():
             assert list(got.values) == list(want)
             for k, v in want.items():
                 assert abs(got.values[k] - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def _leaves_beyond_splits(tree):
+    """The splits of ``tree`` in output order, by one ``leaves_beyond``
+    walk per edge."""
+    taxa = frozenset(tree.taxa)
+    found = set()
+    for u, v, _ in tree.edges():
+        side = tree.leaves_beyond(u, v)
+        if side and side != taxa:
+            found.add(Split(inside=side, taxa=taxa))
+    return sorted(found, key=lambda s: (len(s.inside), sorted(s.inside)))
+
+
+def test_splits_and_m_maps_match_the_leaves_beyond_walks():
+    from phylokit.trees import PhyloTree
+
+    trees = [random_tree(11500 + seed, 4 + seed % 9) for seed in range(12)]
+    for tree in trees[:6]:  # subdivided edges: degree-2 nodes, repeated splits
+        for u, v, length in tree.edges()[::2]:
+            tree.split_edge(u, v, length / 3)
+    trees.append(parse_newick("((a:1,b:2):0.5,(c:1,(d:1,e:0.2):0.3):0.25);"))
+    leaf_first = PhyloTree()  # nodes()[0] is a leaf
+    first, hub = leaf_first.add_node(label="m"), leaf_first.add_node()
+    leaf_first.add_edge(first, hub, 0.4)
+    for name, length in (("b", 0.1), ("z", 0.2), ("a", 0.3)):
+        leaf_first.add_edge(hub, leaf_first.add_node(label=name), length)
+    trees += [leaf_first, caterpillar(9, 11600)]
+    for tree in trees:
+        want = _leaves_beyond_splits(tree)
+        system = splits_of_tree(tree)
+        assert list(system) == want
+        assert system.is_binary == (len(want) == 2 * len(tree.taxa) - 3)
+        for m in range(2, min(len(tree.taxa), 4) + 1):
+            got = m_dissimilarity(tree, m).values
+            loop = _loop_m_dissimilarity(tree, m)
+            assert list(got) == list(loop)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in loop.values()]
 
 
 def test_generalized_cherry_matches_the_dict_sums():
