@@ -196,14 +196,14 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
 
     root = _pruning_root(tree)
     # a leaf (which may serve as the root) starts from its observed-letter
-    # indicator, any other node from ones; walked backwards, the preorder
-    # reaches every child before its parent
-    onehot = np.eye(4)
+    # indicator, any other node from ones, which sums an unlabeled leaf out;
+    # walked backwards, the preorder reaches every child before its parent
+    onehot, ones = np.eye(4), np.ones(4)
     below = {tree.node_of(t): onehot[_NUC_INDEX[pattern[t].upper()]] for t in taxa}
     for parent, kids in reversed(tree.children_from(root).items()):
         for child in reversed(kids):
             p = edge_params_from_length(tree.edge_length(parent, child)).matrix()
-            below[parent] = below.get(parent, 1.0) * (p @ below.pop(child))
+            below[parent] = below.get(parent, 1.0) * (p @ below.pop(child, ones))
     return float(np.full(4, 0.25) @ below[root])
 
 

@@ -6,6 +6,7 @@ files.
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -19,55 +20,18 @@ from .treespace import DissimilarityMap, MDissimilarityMap
 # ---------------------------------------------------------------------------
 # Newick
 
-_NAME_END = set(":,()[];' \t\n\r")
+# A label is a nonempty run of any characters but these; whitespace before a
+# label, a length or a punctuation mark is skipped.
+_NOT_IN_LABEL = r":,()\[\];' \t\n\r"
+_LABEL = re.compile(rf"[ \t\n\r]*([^{_NOT_IN_LABEL}]*)")
+_NON_LABEL = re.compile(f"[{_NOT_IN_LABEL}]")
+_LENGTH = re.compile(r"[ \t\n\r]*(?::[ \t\n\r]*([^,()\[\];]*))?")
+_MARK = re.compile(r"[ \t\n\r]*(.?)", re.DOTALL)  # "" at the end of the text
 _NEWICK_LENGTH = "%.6f"
 
 
-class _NewickParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ValueError(f"{message} at character {self.pos}")
-
-    def peek(self) -> str:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        return self.text[self.pos]
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r":
-            self.pos += 1
-
-    def take(self, expected: str):
-        if self.peek() != expected:
-            self.error(f"expected {expected!r}, found {self.text[self.pos]!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _NAME_END:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def length(self) -> float:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ":":
-            self.pos += 1
-            self._skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] not in ",()[];":
-                self.pos += 1
-            raw = self.text[start:self.pos].strip()
-            try:
-                return float(raw)
-            except ValueError:
-                self.pos = start
-                self.error(f"invalid branch length {raw!r}")
-        return 0.0
+def _fail(message: str, at: int):
+    raise ValueError(f"{message} at character {at}")
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -79,46 +43,52 @@ def parse_newick(text: str) -> PhyloTree:
     degree-2 node; it subdivides the root edge without changing the
     unrooted tree.
     """
-    parser = _NewickParser(text)
     tree = PhyloTree()
-    # internal nodes whose closing parenthesis is still ahead
-    open_nodes: list[int] = []
+    open_nodes: list[int] = []  # internal nodes whose ')' is still ahead
+    node, pos = None, 0  # node: the subtree just read, before its length
     while True:
-        if parser.peek() == "(":
-            parser.take("(")
-            open_nodes.append(tree.add_node())
-            continue
-        label = parser.name()
-        if not label:
-            parser.error("expected a leaf label")
+        if node is None:
+            mark = _MARK.match(text, pos)
+            if mark[1] == "(":
+                open_nodes.append(tree.add_node())
+                pos = mark.end()
+                continue
+            label = _LABEL.match(text, pos)
+            pos = label.end()
+            if not label[1]:
+                _fail("expected a leaf label" if mark[1] else "unexpected end of input",
+                      pos)
+            try:
+                node = tree.add_node(label=label[1])
+            except ValueError as exc:
+                _fail(str(exc), pos)
+        length = _LENGTH.match(text, pos)
+        pos = length.end()
         try:
-            node = tree.add_node(label=label)
-        except ValueError as exc:
-            parser.error(str(exc))
-        # attach the finished subtree, closing every group it ends
-        while open_nodes:
-            length = parser.length()
-            tree.add_edge(open_nodes[-1], node, max(length, 0.0))
-            if parser.peek() == ",":
-                parser.take(",")
-                break
-            parser.take(")")
-            parser.name()  # optional internal label, discarded
+            value = 0.0 if length[1] is None else float(length[1].strip())
+        except ValueError:
+            _fail(f"invalid branch length {length[1].strip()!r}", length.start(1))
+        if not open_nodes:  # the root's length is tolerated and dropped
+            break
+        tree.add_edge(open_nodes[-1], node, max(value, 0.0))
+        mark = _MARK.match(text, pos)
+        pos = mark.end()
+        if mark[1] == ",":
+            node = None
+        elif mark[1] == ")":
+            pos = _LABEL.match(text, pos).end()  # optional internal label, discarded
             node = open_nodes.pop()
         else:
-            break
-    root = node
-    parser.length()  # tolerate a stray root length
-    parser._skip_ws()
-    if parser.pos < len(parser.text):
-        if parser.text[parser.pos] == ";":
-            parser.pos += 1
-            parser._skip_ws()
-        else:
-            parser.error(f"unexpected {parser.text[parser.pos]!r}")
-    if parser.pos != len(parser.text):
-        parser.error("trailing characters after tree")
-    if tree.degree(root) == 1 and not tree.is_leaf(root):
+            _fail(f"expected ')', found {mark[1]!r}" if mark[1] else
+                  "unexpected end of input", mark.start(1))
+    end = _MARK.match(text, pos)
+    if end[1] == ";":
+        end = _MARK.match(text, end.end())
+        if end[1]:
+            _fail("trailing characters after tree", end.start(1))
+    elif end[1]:
+        _fail(f"unexpected {end[1]!r}", end.start(1))
+    if tree.degree(node) == 1 and not tree.is_leaf(node):
         raise ValueError("root has a single child; not a valid unrooted tree")
     if len(tree.taxa) < 2:
         raise ValueError("tree must have at least two leaves")
@@ -134,7 +104,13 @@ def emit_newick(tree: PhyloTree) -> str:
     taxa = collapsed.taxa
     if len(taxa) < 2:
         raise ValueError("tree must have at least two leaves")
-    if len(taxa) == 2:
+    if not taxa[0] or _NON_LABEL.search("".join(taxa)):  # one scan for all labels
+        bad = next(t for t in taxa if not t or _NON_LABEL.search(t))
+        raise ValueError(
+            f"taxon label {bad!r} cannot be written as Newick: a label needs a "
+            "character and takes no whitespace or any of :,()[];'"
+        )
+    if collapsed.num_nodes == 2:
         a, b = taxa
         ln = collapsed.edge_length(collapsed.node_of(a), collapsed.node_of(b))
         return f"({a}:{_NEWICK_LENGTH % ln},{b}:{_NEWICK_LENGTH % 0.0});"

@@ -284,16 +284,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         pairwise, dm = distances_from_alignment(alignment)
     else:
         dm = parse_distance_matrix(_read_input(config.distances))
+        rows = dm.values.tolist()
         pairwise = [
             PairwiseDistance(
                 taxon_a=a,
                 taxon_b=b,
                 sites=None,
                 differences=None,
-                distance=dm.get(a, b),
+                distance=rows[i][j],
             )
             for i, a in enumerate(dm.taxa)
-            for b in dm.taxa[i + 1:]
+            for j, b in enumerate(dm.taxa[i + 1:], i + 1)
         ]
 
     tree = neighbor_join(dm)

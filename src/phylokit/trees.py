@@ -134,7 +134,8 @@ class PhyloTree:
         """Every node's children, keyed in preorder, when the tree hangs from
         ``root``; each list is ordered by the smallest taxon label at or below
         the child ("~" for a child with none; ties keep neighbor order).
-        Raises ValueError if the graph is disconnected or has a cycle."""
+        Raises ValueError if the graph is disconnected, has a cycle or has a
+        labeled node with more than one neighbor."""
         children: dict[int, list[int]] = {root: []}
         nodes = [root]  # breadth-first, so every child follows its parent
         for node in nodes:
@@ -148,6 +149,12 @@ class PhyloTree:
             raise ValueError(f"not a tree: disconnected, {n} of {len(self._adj)} nodes")
         if sum(map(len, self._adj.values())) != 2 * n - 2:
             raise ValueError(f"not a tree: a cycle, over {n - 1} edges on {n} nodes")
+        for node, label in self._label.items():
+            if len(self._adj[node]) > 1:
+                raise ValueError(
+                    f"not a tree: labeled node {label!r} has {len(self._adj[node])}"
+                    " neighbors, but only leaves carry labels"
+                )
         smallest = dict(self._label)  # only nodes with a label at or below
         key = lambda c: smallest.get(c, "~")
         for node in reversed(nodes):
@@ -182,7 +189,8 @@ class PhyloTree:
 
     def suppress_unifurcations(self) -> "PhyloTree":
         """Copy with every unlabeled degree-2 node replaced by a single
-        edge carrying the summed length."""
+        edge carrying the summed length.  Raises ValueError where that
+        edge would join two nodes already joined (a cycle)."""
         out = self.copy()
         for node in list(out._adj):
             if node in out._label or len(out._adj[node]) != 2:
@@ -191,7 +199,8 @@ class PhyloTree:
             del out._adj[a][node]
             del out._adj[b][node]
             del out._adj[node]
-            # parallel edges cannot arise in a tree
+            if b in out._adj[a]:  # a parallel edge: the graph has a cycle
+                raise ValueError(f"not a tree: a cycle through node {node}")
             out._adj[a][b] = la + lb
             out._adj[b][a] = la + lb
         return out

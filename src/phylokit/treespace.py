@@ -236,6 +236,7 @@ def splits_of_tree(tree: PhyloTree) -> SplitSystem:
 def cherries(tree: PhyloTree) -> set[frozenset[str]]:
     """Leaf pairs separated by a single internal vertex."""
     collapsed = tree.suppress_unifurcations()
+    collapsed.children_from(collapsed.nodes()[0])  # rejects graphs that are not trees
     out = set()
     for node in collapsed.nodes():
         if collapsed.is_leaf(node):

@@ -312,6 +312,23 @@ def test_all_same_probability_degenerate_trees():
     assert p_any == pytest.approx(0.25, rel=1e-9)
 
 
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_all_same_probability_sums_out_an_unlabeled_leaf(position):
+    def hub_tree(unlabeled):
+        tree = PhyloTree()
+        if unlabeled == "first":  # node 0, so pruning hangs the tree from it
+            tree.add_node()
+        hub = tree.add_node()
+        for label, length in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            tree.add_edge(hub, tree.add_node(label=label), length)
+        if unlabeled:
+            tree.add_edge(hub, tree.add_node() if unlabeled == "last" else 0, 0.4)
+        return tree
+
+    want = all_same_probability(hub_tree(None))
+    assert all_same_probability(hub_tree(position)) == pytest.approx(want, rel=1e-12)
+
+
 def test_all_same_probability_on_a_deep_caterpillar_matches_the_spine():
     n = 10_000
     tree = caterpillar(n, 3200)

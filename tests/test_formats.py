@@ -2,9 +2,12 @@
 and parameter JSON."""
 
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phylokit.formats import (
     bundled_distance_matrix,
@@ -25,11 +28,12 @@ from phylokit.hmm import HmmParams
 from phylokit.treespace import (
     DissimilarityMap,
     m_dissimilarity,
+    random_binary_tree,
     splits_of_tree,
     tree_metric,
 )
 
-from conftest import caterpillar, random_tree
+from conftest import caterpillar, random_tree, rng
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +69,14 @@ def test_parse_errors_carry_character_offsets():
         parse_newick("(a:1,a:2);")
     with pytest.raises(ValueError, match="two leaves"):
         parse_newick("a;")
+    for text, message in [
+        ("(a:1,b[x]:2);", "expected ')', found '[' at character 6"),
+        ("(a:1,b'c:2);", """expected ')', found "'" at character 6"""),
+        ("((a:1,b:2),c:3", "unexpected end of input at character 14"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            parse_newick(text)
+        assert str(caught.value) == message
 
 
 def test_parse_rejects_nan_branch_lengths():
@@ -93,6 +105,29 @@ def test_emit_is_deterministic_and_sorted():
     for name in "cab":
         star.add_edge(hub, star.add_node(label=name), 1.0)
     assert emit_newick(star) == "(a:1.000000,b:1.000000,c:1.000000,():1.000000);"
+    pair = PhyloTree()  # two taxa, but not a single edge
+    hub = pair.add_node()
+    for name in ("a", "b", None):
+        pair.add_edge(hub, pair.add_node(label=name), 0.5)
+    assert emit_newick(pair) == "(a:0.500000,b:0.500000,():0.500000);"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(string.printable, max_size=3), min_size=3, max_size=5, unique=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_emit_writes_only_labels_the_reader_reads_back(labels, seed):
+    tree = random_binary_tree(labels, rng(seed))
+    try:
+        text = emit_newick(tree)
+    except ValueError as exc:
+        assert any(f"taxon label {label!r}" in str(exc) for label in labels)
+        return
+    again = parse_newick(text)
+    assert again.taxa == tree.taxa
+    want, got = tree_metric(tree), tree_metric(again)
+    assert np.abs(want.values - got.values).max() < 1e-5
 
 
 def test_round_trip_random_trees():

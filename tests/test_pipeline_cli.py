@@ -24,7 +24,7 @@ from phylokit.pipeline import (
     pairwise_site_differences,
     run_pipeline,
 )
-from phylokit.treespace import m_dissimilarity, splits_of_tree
+from phylokit.treespace import DissimilarityMap, m_dissimilarity, splits_of_tree
 from phylokit.evolution import simulate_leaf_sequences
 from phylokit.treespace import neighbor_join
 from phylokit.formats import parse_distance_matrix, parse_newick
@@ -177,6 +177,20 @@ def test_pipeline_reads_one_line_json_longer_than_a_file_name():
     report = run_pipeline(PipelineConfig(distances=text))
     want = run_pipeline(PipelineConfig(distances=_table3_path()))
     assert report.to_json() == want.to_json()
+
+
+def test_pipeline_reads_the_matrix_by_position(monkeypatch):
+    want = run_pipeline(PipelineConfig(distances=_table3_path()))
+    dm = parse_distance_matrix(read_bundled("vertebrates10.phy"))
+    assert [p.distance for p in want.pairwise] == [
+        dm.get(a, b) for a, b in itertools.combinations(dm.taxa, 2)
+    ]
+
+    def refuse(self, a, b):
+        raise AssertionError("the pipeline reads the matrix by position")
+
+    monkeypatch.setattr(DissimilarityMap, "get", refuse)
+    assert run_pipeline(PipelineConfig(distances=_table3_path())).to_json() == want.to_json()
 
 
 def test_pipeline_config_validation():
@@ -426,6 +440,24 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "asymmetric" in capsys.readouterr().err
     assert main(["align", "polygon", "--seq1", "ACGT"]) == 2
     assert "seq1" in capsys.readouterr().err
+
+
+def test_cli_refuses_to_write_labels_newick_would_split(tmp_path, capsys):
+    fasta = tmp_path / "names.fa"
+    fasta.write_text(
+        ">x:1\nAAATACGTACGTACGTACGTACGTACGTACGTACGTACGT\n"
+        ">y(2)\nACGTACGTACGTACGTACGTCAGTACGTACATACGTACGT\n"
+        ">z,3\nACGTACGTACGTACGTACGTACAAACGTACGAACGTACGT\n"
+        ">w\nCCGTACGTACGTACGTACGTACGTACGTACGTACGTACGT\n"
+    )
+    assert main(["pipeline", "--alignment", str(fasta)]) == 2
+    assert "taxon label 'x:1'" in capsys.readouterr().err
+    matrix = tmp_path / "names.json"
+    matrix.write_text(
+        json.dumps({"taxa": ["a,b", "c", "d"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]})
+    )
+    assert main(["nj", "build", "--distances", str(matrix)]) == 2
+    assert "taxon label 'a,b'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])

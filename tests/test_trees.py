@@ -13,6 +13,7 @@ from phylokit.formats import emit_newick, parse_newick
 from phylokit.trees import PhyloTree
 from phylokit.treespace import (
     check_m_tree,
+    cherries,
     m_dissimilarity,
     neighbor_join,
     splits_of_tree,
@@ -29,6 +30,7 @@ CONSUMERS = {
     "emit_newick": emit_newick,
     "splits_of_tree": splits_of_tree,
     "m_dissimilarity": lambda t: m_dissimilarity(t, 3),
+    "cherries": cherries,
 }
 
 
@@ -50,8 +52,36 @@ def _triangle() -> PhyloTree:
     return graph
 
 
+def _hidden_triangle() -> PhyloTree:
+    """Leaves a, b, c on x, and x in a cycle x-y-z whose other two nodes
+    have degree 2, so suppressing them would merge parallel edges."""
+    graph = PhyloTree()
+    x, y, z = (graph.add_node() for _ in range(3))
+    for u, v in ((x, y), (y, z), (z, x)):
+        graph.add_edge(u, v, 1.0)
+    for name in "abc":
+        graph.add_edge(x, graph.add_node(label=name), 0.5)
+    return graph
+
+
+def _labeled_internal_node() -> PhyloTree:
+    """a-h, h-m, m-b, m-c, h-d with the internal node m labeled."""
+    graph = PhyloTree()
+    h, m = graph.add_node(), graph.add_node(label="m")
+    graph.add_edge(h, m, 1.0)
+    for host, name in ((h, "a"), (m, "b"), (m, "c"), (h, "d")):
+        graph.add_edge(host, graph.add_node(label=name), 1.0)
+    return graph
+
+
 @pytest.mark.parametrize(
-    "graph, reason", [(_two_components, "disconnected"), (_triangle, "a cycle")]
+    "graph, reason",
+    [
+        (_two_components, "disconnected"),
+        (_triangle, "a cycle"),
+        (_hidden_triangle, "a cycle"),
+        (_labeled_internal_node, "labeled node 'm' has 3 neighbors"),
+    ],
 )
 @pytest.mark.parametrize("consumer", list(CONSUMERS))
 def test_consumers_reject_graphs_that_are_not_trees(graph, reason, consumer):
