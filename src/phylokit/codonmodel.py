@@ -96,6 +96,8 @@ class IndependenceParams:
         beta = np.asarray(self.beta, dtype=float)
         if alpha.shape != (4, 4) or beta.shape != (4,):
             raise ValueError("alpha must be 4x4 and beta length 4")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError("probabilities must be finite (not NaN or inf)")
         if (alpha < 0).any() or (beta < 0).any():
             raise ValueError("probabilities must be non-negative")
         for name, arr in (("alpha", alpha), ("beta", beta)):
@@ -202,6 +204,8 @@ def segre_residual(p: np.ndarray) -> SegreDiagnostics:
     table = np.asarray(p, dtype=float)
     if table.shape != (4, 4, 4):
         raise ValueError(f"expected a 4x4x4 table, got shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("probabilities must be finite (not NaN or inf)")
     if (table < 0).any():
         raise ValueError("probabilities must be non-negative")
     if abs(table.sum() - 1.0) > 1e-9:

@@ -41,6 +41,8 @@ class RateMatrix:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4, 4):
             raise ValueError(f"rate matrix must be 4x4, got {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("rates must be finite (not NaN or inf)")
         off = q[~np.eye(4, dtype=bool)]
         if (off < 0).any():
             raise ValueError("off-diagonal rates must be non-negative")
@@ -92,6 +94,8 @@ def matrix_exponential(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 def substitution_matrix(alpha: float, t: float) -> np.ndarray:
     """Closed-form substitution matrix of the single-rate model: diagonal
     entries (1 + 3 e^{-4 alpha t})/4, off-diagonal (1 - e^{-4 alpha t})/4."""
+    if not (math.isfinite(alpha) and math.isfinite(t)):
+        raise ValueError("alpha and t must be finite (not NaN or inf)")
     if alpha < 0 or t < 0:
         raise ValueError("alpha and t must be non-negative")
     decay = math.exp(-4.0 * alpha * t)
@@ -131,6 +135,8 @@ class JcEdge:
     pi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.pi)):
+            raise ValueError("theta and pi must be finite (not NaN or inf)")
         if not 0.0 <= self.pi <= 0.25:
             raise ValueError(f"pi must lie in [0, 1/4], got {self.pi}")
         if abs(self.theta + 3.0 * self.pi - 1.0) > 1e-12:

@@ -6,6 +6,7 @@ files.
 from __future__ import annotations
 
 import json
+import math
 import re
 from importlib import resources
 
@@ -67,6 +68,8 @@ def parse_newick(text: str) -> PhyloTree:
         try:
             value = 0.0 if length[1] is None else float(length[1].strip())
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             _fail(f"invalid branch length {length[1].strip()!r}", length.start(1))
         if not open_nodes:  # the root's length is tolerated and dropped
             break
@@ -215,6 +218,14 @@ def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
 
 
 def format_m_dissimilarity(md: MDissimilarityMap) -> str:
+    """The JSON that :func:`parse_m_dissimilarity` reads back; a taxon
+    label holding ',' would be split by that reader, so it is refused."""
+    bad = [t for t in md.taxa if "," in t]
+    if bad:
+        raise ValueError(
+            f"taxon label {bad[0]!r} cannot be written as an m-dissimilarity "
+            "key: subset keys join labels with ','"
+        )
     values = {
         ",".join(sorted(subset)): value for subset, value in md.values.items()
     }

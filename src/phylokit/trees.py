@@ -2,13 +2,15 @@
 
 The structure is an undirected adjacency map over integer node ids.
 Leaves are exactly the labeled nodes.  Branch lengths are expected
-substitutions per site and must be non-negative.  Degree-2 internal
+substitutions per site, finite and non-negative.  Degree-2 internal
 nodes are tolerated (Newick parsing produces one at a rooted top level);
 they subdivide an edge without changing the tree's metric or splits, and
 :meth:`PhyloTree.suppress_unifurcations` removes them.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class PhyloTree:
@@ -34,12 +36,15 @@ class PhyloTree:
     def add_edge(self, u: int, v: int, length: float) -> None:
         if u == v:
             raise ValueError("self edge")
-        if not length >= 0:  # also rejects NaN
-            raise ValueError(f"branch length must be non-negative, got {length}")
+        if not 0 <= length < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"branch length must be finite and non-negative, got {length}"
+            )
         if v in self._adj[u]:
             raise ValueError(f"edge {u}-{v} already present")
-        self._adj[u][v] = float(length)
-        self._adj[v][u] = float(length)
+        length = float(length) + 0.0  # -0.0 is stored as 0.0
+        self._adj[u][v] = length
+        self._adj[v][u] = length
 
     def copy(self) -> "PhyloTree":
         out = PhyloTree()

@@ -119,16 +119,12 @@ def check_four_point(delta: DissimilarityMap) -> Verdict:
     for a in range(n - 3):
         for b in range(a + 1, n - 2):
             c, d = cs[first[b]:], ds[first[b]:]
-            sums = np.stack(
-                (
-                    dist[a, b] + cd[first[b]:],
-                    dist[a, c] + dist[b, d],
-                    dist[a, d] + dist[b, c],
-                ),
-                axis=1,
-            )
-            sums.sort(axis=1)
-            bad = sums[:, 2] - sums[:, 1] > _FOUR_POINT_SLACK
+            x = dist[a, b] + cd[first[b]:]
+            y, z = dist[a, c] + dist[b, d], dist[a, d] + dist[b, c]
+            # the largest and the middle sum, the same floats sorting would give
+            hi, lo = np.maximum(x, y), np.minimum(x, y)
+            top, mid = np.maximum(hi, z), np.maximum(lo, np.minimum(hi, z))
+            bad = top - mid > _FOUR_POINT_SLACK
             if bad.any():
                 k = int(bad.argmax())
                 return Verdict(False, (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]]))
@@ -332,7 +328,8 @@ class MDissimilarityMap:
 
     def __post_init__(self):
         taxa = tuple(self.taxa)
-        if len(set(taxa)) != len(taxa):
+        taxon_set = set(taxa)
+        if len(taxon_set) != len(taxa):
             raise ValueError("taxa must be distinct")
         if not 2 <= self.m <= len(taxa):
             raise ValueError(f"m must lie in [2, {len(taxa)}], got {self.m}")
@@ -341,7 +338,7 @@ class MDissimilarityMap:
             if frozenset(subset) not in values:
                 raise ValueError(f"missing value for subset {sorted(subset)}")
         for k in values:
-            if len(k) != self.m or not set(k) <= set(taxa):
+            if len(k) != self.m or not k <= taxon_set:
                 raise ValueError(f"bad subset key {sorted(k)}")
         if not np.isfinite(list(values.values())).all():
             raise ValueError("m-dissimilarity values must be finite (not NaN or inf)")
@@ -356,21 +353,6 @@ class MDissimilarityMap:
         if len(taxa) != self.m or len(set(taxa)) != self.m:
             raise ValueError(f"need {self.m} distinct taxa, got {taxa!r}")
         return self.values[frozenset(taxa)]
-
-    def restrict(self, fixed) -> DissimilarityMap:
-        """Induced pairwise map on the remaining taxa obtained by pinning
-        ``fixed`` (m - 2 taxa) into every subset."""
-        fixed = frozenset(fixed)
-        if len(fixed) != self.m - 2:
-            raise ValueError(f"need {self.m - 2} fixed taxa")
-        rest = tuple(t for t in self.taxa if t not in fixed)
-        n = len(rest)
-        values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = self.values[fixed | {rest[i], rest[j]}]
-                values[i, j] = values[j, i] = v
-        return DissimilarityMap(taxa=rest, values=values)
 
 
 def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
@@ -559,14 +541,20 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     n, m = delta_m.size, delta_m.m
     if n < m + 2:
         return MTreeVerdict(True, vacuous=True)
+    members, vals = _members(delta_m, delta_m.taxa)
     for fixed in combinations(delta_m.taxa, m - 2):
-        induced = delta_m.restrict(fixed)
-        metric = check_metric(induced)
-        if not metric:
-            return MTreeVerdict(False, witness=(tuple(fixed), metric.violation))
-        four = check_four_point(induced)
-        if not four:
-            return MTreeVerdict(False, witness=(tuple(fixed), four.violation))
+        keep = ~np.isin(delta_m.taxa, fixed)
+        free = keep[members]  # a subset through every pinned taxon has two free
+        rows = free.sum(axis=1) == 2
+        i, j = members[rows][free[rows]].reshape(-1, 2).T
+        table = np.zeros((n, n))
+        table[i, j] = table[j, i] = vals[rows]
+        rest = tuple(t for t in delta_m.taxa if t not in fixed)
+        induced = DissimilarityMap(rest, table[np.ix_(keep, keep)])
+        for check in (check_metric, check_four_point):
+            verdict = check(induced)
+            if not verdict:
+                return MTreeVerdict(False, witness=(fixed, verdict.violation))
     return MTreeVerdict(True)
 
 

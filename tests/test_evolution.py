@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from phylokit import evolution
+from phylokit.codonmodel import IndependenceParams, segre_residual
 from phylokit.evolution import (
     JcEdge,
     RateMatrix,
@@ -86,6 +87,34 @@ def test_substitution_matrix_rejects_negative_inputs():
         substitution_matrix(-1.0, 1.0)
     with pytest.raises(ValueError):
         substitution_matrix(1.0, -0.5)
+
+
+def _nan_at(table, index):
+    table = np.array(table, dtype=float)
+    table[index] = np.nan
+    return table
+
+
+_JC_Q = np.full((4, 4), 0.5) - 2.0 * np.eye(4)
+_UNIFORM_CODONS = np.full((4, 4, 4), 1 / 64)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IndependenceParams(_nan_at(np.full((4, 4), 1 / 16), (0, 1)), np.full(4, 0.25)),
+        lambda: RateMatrix(_nan_at(_JC_Q, (2, 3))),
+        lambda: JcEdge(theta=math.nan, pi=0.1),
+        lambda: jc_rate_matrix(math.nan),
+        lambda: substitution_matrix(math.nan, 1.0),
+        lambda: segre_residual(_nan_at(_UNIFORM_CODONS, (1, 2, 3))),
+    ],
+    ids=["IndependenceParams", "RateMatrix", "JcEdge", "jc_rate_matrix",
+         "substitution_matrix", "segre_residual"],
+)
+def test_parameter_records_reject_nan(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_semigroup_property_on_random_rates():

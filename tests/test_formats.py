@@ -3,6 +3,7 @@ and parameter JSON."""
 
 import json
 import string
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from phylokit.formats import (
 from phylokit.hmm import HmmParams
 from phylokit.treespace import (
     DissimilarityMap,
+    MDissimilarityMap,
     m_dissimilarity,
     random_binary_tree,
     splits_of_tree,
@@ -83,6 +85,27 @@ def test_parse_rejects_nan_branch_lengths():
     for text in ("(a:nan,b:1,c:1);", "((a:1,b:1):NaN,c:1);"):
         with pytest.raises(ValueError, match="branch length"):
             parse_newick(text)
+
+
+def test_parse_rejects_non_finite_branch_lengths_at_their_offset():
+    for text, at in [
+        ("(a:inf,b:1,c:1);", 3),
+        ("(a:1,b:-inf,c:1);", 7),
+        ("(a:1,b:1,c: 1e400);", 12),
+        ("((a:1,b:1):Infinity,c:1);", 11),
+        ("(a:nan,b:1,c:1);", 3),
+    ]:
+        value = text[at:].split(",")[0].split(")")[0]
+        with pytest.raises(ValueError) as caught:
+            parse_newick(text)
+        assert str(caught.value) == f"invalid branch length {value!r} at character {at}"
+
+
+def test_negative_zero_length_is_written_as_zero():
+    tree = parse_newick("(a:-0,b:1,c:-0.0);")
+    assert emit_newick(tree) == "(a:0.000000,b:1.000000,c:0.000000);"
+    hub, leaf = tree.nodes()[0], tree.node_of("a")
+    assert str(tree.edge_length(hub, leaf)) == "0.0"
 
 
 def test_parse_tolerates_whitespace_and_internal_labels():
@@ -241,6 +264,15 @@ def test_m_dissimilarity_json_validation():
         parse_m_dissimilarity(
             '{"taxa": ["a", "b", "c", "d"], "m": 3, "values": {"a,b,c": 1.0}}'
         )
+
+
+def test_m_dissimilarity_writer_refuses_labels_with_commas():
+    taxa = ("a,b", "c", "d", "e")
+    md = MDissimilarityMap(
+        taxa=taxa, m=3, values={frozenset(s): 1.0 for s in combinations(taxa, 3)}
+    )
+    with pytest.raises(ValueError, match="taxon label 'a,b' cannot be written"):
+        format_m_dissimilarity(md)
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,13 @@ def test_no_consumer_walks_leaves_beyond(monkeypatch):
             consume(t)
     neighbor_join(tree_metric(tree))
     check_m_tree(m_dissimilarity(tree, 3))
+
+
+def test_add_edge_rejects_non_finite_lengths():
+    tree = PhyloTree()
+    hub = tree.add_node()
+    for bad in (float("inf"), float("-inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tree.add_edge(hub, tree.add_node(), bad)
+    tree.add_edge(hub, leaf := tree.add_node(), -0.0)
+    assert str(tree.edge_length(hub, leaf)) == "0.0"

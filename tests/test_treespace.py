@@ -969,3 +969,121 @@ def test_generalized_nj_recovers_topology_on_30_to_40_taxa():
         tree = random_tree(seed, n)
         rebuilt = generalized_neighbor_join(m_dissimilarity(tree, 3))
         assert splits_of_tree(rebuilt).as_set() == splits_of_tree(tree).as_set()
+
+
+# ---------------------------------------------------------------------------
+# tree-metric checks against the stack-and-sort scan and the pinned-slice
+# dict walk they replaced
+
+
+def _stacked_four_point(delta):
+    taxa = sorted(delta.taxa)
+    order = [delta.taxa.index(t) for t in taxa]
+    dist = delta.values[np.ix_(order, order)]
+    n = len(taxa)
+    cs, ds = np.triu_indices(n, 1)
+    cd = dist[cs, ds]
+    first = np.cumsum(np.arange(n - 1, 0, -1))
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            c, d = cs[first[b]:], ds[first[b]:]
+            sums = np.stack(
+                (dist[a, b] + cd[first[b]:], dist[a, c] + dist[b, d], dist[a, d] + dist[b, c]),
+                axis=1,
+            )
+            sums.sort(axis=1)
+            bad = sums[:, 2] - sums[:, 1] > 1e-9
+            if bad.any():
+                k = int(bad.argmax())
+                return (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]])
+    return None
+
+
+def _restrict(delta_m, fixed):
+    fixed = frozenset(fixed)
+    rest = tuple(t for t in delta_m.taxa if t not in fixed)
+    n = len(rest)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = delta_m.values[fixed | {rest[i], rest[j]}]
+    return DissimilarityMap(taxa=rest, values=values)
+
+
+def _restrict_check_m_tree(delta_m):
+    """(ok, vacuous, witness) by pinning through the frozenset dict."""
+    n, m = delta_m.size, delta_m.m
+    if n < m + 2:
+        return (True, True, None)
+    for fixed in combinations(delta_m.taxa, m - 2):
+        induced = _restrict(delta_m, fixed)
+        metric = check_metric(induced)
+        if not metric:
+            return (False, False, (tuple(fixed), metric.violation))
+        four = _stacked_four_point(induced)
+        if four is not None:
+            return (False, False, (tuple(fixed), four))
+    return (True, False, None)
+
+
+def _four_point_cases():
+    """(family, map) on 4-40 taxa: integer maps (dense exact ties),
+    tree metrics of dyadic-length trees (exact ties that pass), those
+    with one entry raised by 1, and tree metrics with random lengths,
+    plain and with one entry scaled."""
+    for seed in range(40):
+        g = rng(13000 + seed)
+        n = int(g.integers(4, 41))
+        taxa = _shuffled_taxa(g, n)
+        yield "integer", DissimilarityMap(
+            taxa=taxa, values=_symmetric(g, n, lambda g, s: g.integers(0, 6, s).astype(float))
+        )
+        equal = tree_metric(random_binary_tree(taxa, g, 1.0, 1.0))
+        yield "tree", equal
+        values = np.array(equal.values)
+        i, j = sorted(g.choice(n, 2, replace=False))
+        values[i, j] = values[j, i] = values[i, j] + 1.0
+        yield "perturbed", DissimilarityMap(taxa=equal.taxa, values=values)
+        base = tree_metric(random_binary_tree(taxa, g))
+        yield "tree", base
+        values = np.array(base.values)
+        values[i, j] = values[j, i] = values[i, j] * g.uniform(1.05, 1.6)
+        yield "perturbed", DissimilarityMap(taxa=base.taxa, values=values)
+
+
+def test_four_point_matches_the_stack_and_sort_scan():
+    verdicts = {}
+    for family, delta in _four_point_cases():
+        want = _stacked_four_point(delta)
+        got = check_four_point(delta)
+        assert (got.ok, got.violation) == (want is None, want), family
+        verdicts.setdefault(family, set()).add(got.ok)
+    assert verdicts == {"integer": {False}, "tree": {True}, "perturbed": {True, False}}
+
+
+def test_m_tree_matches_the_pinned_dict_walk():
+    verdicts = {}
+    for m in (2, 3, 4, 5):
+        for seed in range(16):
+            g = rng(13500 + 100 * m + seed)
+            n = int(g.integers(m + 1, m + 8))
+            names = [f"x{i:02d}" for i in range(n)]
+            family = ("tree", "equal", "perturbed", "integer")[seed % 4]
+            if family == "integer":
+                values = {
+                    frozenset(s): float(g.integers(0, 4)) for s in combinations(names, m)
+                }
+            else:
+                lengths = (1.0, 1.0) if family == "equal" else (0.05, 1.0)
+                values = dict(m_dissimilarity(random_binary_tree(names, g, *lengths), m).values)
+                if family == "perturbed":
+                    key = list(values)[int(g.integers(len(values)))]
+                    values[key] *= g.uniform(1.05, 1.6)
+            taxa = tuple(names[i] for i in g.permutation(n))
+            md = MDissimilarityMap(taxa=taxa, m=m, values=values)
+            got = check_m_tree(md)
+            want = _restrict_check_m_tree(md)
+            assert (got.ok, got.vacuous, got.witness) == want, (family, m)
+            verdicts.setdefault(family, set()).add((got.ok, got.vacuous))
+    assert verdicts["tree"] == verdicts["equal"] == {(True, False), (True, True)}
+    assert (False, False) in verdicts["perturbed"] and (False, False) in verdicts["integer"]
