@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: pipeline, dist, nj, align, hmm, codon, tree, motif.
-Exit code 0 on success, 2 on any input problem (bad files, malformed
-formats, violated preconditions).
+Each handler returns its result as text and ``main`` writes it once, to
+the ``--out`` file or to stdout.  Exit code 0 on success, 2 on any input
+problem (bad files, malformed formats, violated preconditions).
 """
 
 from __future__ import annotations
@@ -29,19 +30,11 @@ from .formats import (
 from .pipeline import AlignedFasta, PipelineConfig
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> str:
     config = PipelineConfig(
         distances=Path(args.distances) if args.distances else None,
         alignment=Path(args.alignment) if args.alignment else None,
@@ -49,26 +42,20 @@ def _cmd_pipeline(args) -> int:
         genome_length=args.genome_length,
     )
     report = pipeline.run_pipeline(config)
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n")
+    if args.out:  # the JSON report goes to the file, the summary to stdout
         sys.stdout.write(report.to_text())
-    else:
-        print(report.to_json())
-    return 0
+    return report.to_json()
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> str:
     alignment = AlignedFasta.from_text(Path(args.alignment).read_text())
     _, dm = pipeline.distances_from_alignment(alignment)
-    _emit(args, format_distance_matrix(dm, style=args.format))
-    return 0
+    return format_distance_matrix(dm, style=args.format)
 
 
-def _cmd_nj(args) -> int:
+def _cmd_nj(args) -> str:
     dm = parse_distance_matrix(Path(args.distances).read_text())
-    tree = treespace.neighbor_join(dm)
-    _emit(args, emit_newick(tree))
-    return 0
+    return emit_newick(treespace.neighbor_join(dm))
 
 
 def _read_pair_sequences(args) -> tuple[str, str]:
@@ -82,16 +69,14 @@ def _read_pair_sequences(args) -> tuple[str, str]:
     raise ValueError("supply --fasta or both --seq1 and --seq2")
 
 
-def _cmd_align(args) -> int:
+def _cmd_align(args) -> str:
     if args.align_command == "enumerate":
         words = pairhmm.enumerate_alignments(args.n, args.m, cap=args.cap)
-        _emit(args, json.dumps({"count": len(words), "alignments": words}))
-        return 0
+        return json.dumps({"count": len(words), "alignments": words})
 
     s1, s2 = _read_pair_sequences(args)
     if args.align_command == "polygon":
-        _emit(args, json.dumps(pairhmm.parametric_polygon(s1, s2).to_dict()))
-        return 0
+        return json.dumps(pairhmm.parametric_polygon(s1, s2).to_dict())
     if args.align_command == "score":
         scheme = pairhmm.ScoringScheme(mismatch=args.mis, gap=args.gap)
         best, key = pairhmm.score_alignment_basic(scheme, s1, s2), "score"
@@ -100,12 +85,10 @@ def _cmd_align(args) -> int:
         if args.align_command == "prob":
             value = pairhmm.pair_probability(params, s1, s2)
             log_value = pairhmm.log_pair_probability(params, s1, s2)
-            _emit(args, json.dumps({"probability": value, "logProbability": log_value}))
-            return 0
+            return json.dumps({"probability": value, "logProbability": log_value})
         best, key = pairhmm.viterbi_alignment(params, s1, s2), "logScore"
     gapped = pairhmm.format_alignment(best.word, s1.upper(), s2.upper())
-    _emit(args, json.dumps({"alignment": best.word, key: best.score}) + "\n" + gapped)
-    return 0
+    return json.dumps({"alignment": best.word, key: best.score}) + "\n" + gapped
 
 
 def _encode_observations(lines: list[str], alphabet: str) -> list[list[int]]:
@@ -122,7 +105,7 @@ def _encode_observations(lines: list[str], alphabet: str) -> list[list[int]]:
     return out
 
 
-def _cmd_hmm(args) -> int:
+def _cmd_hmm(args) -> str:
     params = hmm_params_from_json(Path(args.params).read_text())
     lines = [
         line.strip()
@@ -149,34 +132,26 @@ def _cmd_hmm(args) -> int:
             {"observation": s, "probability": float(np.exp(lp)), "logProbability": lp}
             for s, lp in zip(lines, log_ps)
         ]
-        _emit(args, json.dumps(rows))
-    elif args.hmm_command == "viterbi":
+        return json.dumps(rows)
+    if args.hmm_command == "viterbi":
         rows = []
         for line, obs in zip(lines, encoded):
             expl = hmm.viterbi_explanation(params, obs)
             rows.append(
                 {"observation": line, "path": expl.path, "logScore": expl.log_score}
             )
-        _emit(args, json.dumps(rows))
-    else:  # train
-        trained, trace = hmm.baum_welch_train(
-            params, encoded, max_iters=args.max_iters, tol=args.tol
-        )
-        payload = hmm_params_to_json(trained)
-        if args.out:
-            Path(args.out).write_text(payload + "\n")
-        else:
-            print(payload)
-        print(
-            json.dumps(
-                {"iterations": len(trace) - 1, "logLikelihood": trace},
-            ),
-            file=sys.stderr,
-        )
-    return 0
+        return json.dumps(rows)
+    trained, trace = hmm.baum_welch_train(
+        params, encoded, max_iters=args.max_iters, tol=args.tol
+    )
+    print(
+        json.dumps({"iterations": len(trace) - 1, "logLikelihood": trace}),
+        file=sys.stderr,
+    )
+    return hmm_params_to_json(trained)
 
 
-def _cmd_codon(args) -> int:
+def _cmd_codon(args) -> str:
     records = read_fasta(Path(args.fasta).read_text())
     table = np.zeros((4, 4, 4), dtype=np.int64)
     for _, seq in records:
@@ -184,71 +159,53 @@ def _cmd_codon(args) -> int:
     counts = codonmodel.CodonCounts(table)
     report = codonmodel.independence_test(counts)
     diag = codonmodel.segre_residual(counts.frequency_table())
-    _emit(
-        args,
-        json.dumps(
-            {
-                "codons": counts.total,
-                "g2": report.g2,
-                "chi2": report.chi2,
-                "df": report.df,
-                "sigma2": diag.sigma2,
-                "maxMinor": diag.max_minor,
-            }
-        ),
+    return json.dumps(
+        {
+            "codons": counts.total,
+            "g2": report.g2,
+            "chi2": report.chi2,
+            "df": report.df,
+            "sigma2": diag.sigma2,
+            "maxMinor": diag.max_minor,
+        }
     )
-    return 0
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> str:
     if args.tree_command == "fourpoint":
         dm = parse_distance_matrix(Path(args.distances).read_text())
         verdict = treespace.check_four_point(dm)
         metric = treespace.check_metric(dm)
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "isTreeMetric": bool(verdict) and bool(metric),
-                    "fourPoint": bool(verdict),
-                    "fourPointViolation": verdict.violation,
-                    "metric": bool(metric),
-                    "metricViolation": metric.violation,
-                }
-            ),
+        return json.dumps(
+            {
+                "isTreeMetric": bool(verdict) and bool(metric),
+                "fourPoint": bool(verdict),
+                "fourPointViolation": verdict.violation,
+                "metric": bool(metric),
+                "metricViolation": metric.violation,
+            }
         )
-    elif args.tree_command == "mtree":
-        md = parse_m_dissimilarity(Path(args.input).read_text())
-        verdict = treespace.check_m_tree(md)
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "isMTree": bool(verdict),
-                    "vacuous": verdict.vacuous,
-                    "witness": verdict.witness,
-                }
-            ),
-        )
-    else:  # gr36
-        md = parse_m_dissimilarity(Path(args.input).read_text())
-        residuals = treespace.gr36_residuals(md)
-        _emit(args, json.dumps({"residuals": list(residuals)}))
-    return 0
+    md = parse_m_dissimilarity(Path(args.input).read_text())
+    if args.tree_command == "gr36":
+        return json.dumps({"residuals": list(treespace.gr36_residuals(md))})
+    verdict = treespace.check_m_tree(md)
+    return json.dumps(
+        {
+            "isMTree": bool(verdict),
+            "vacuous": verdict.vacuous,
+            "witness": verdict.witness,
+        }
+    )
 
 
-def _cmd_motif(args) -> int:
+def _cmd_motif(args) -> str:
     records = read_fasta(Path(args.fasta).read_text())
     motif = args.motif
     hits = [
-        {
-            "taxon": name,
-            "positions": pipeline.find_motif(seq.replace("-", ""), motif),
-        }
+        {"taxon": name, "positions": pipeline.find_motif(seq.replace("-", ""), motif)}
         for name, seq in records
     ]
-    _emit(args, json.dumps({"motif": motif, "hits": hits}))
-    return 0
+    return json.dumps({"motif": motif, "hits": hits})
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +220,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pipeline", help="distances -> tree -> conservation probability")
+    # option groups shared by several leaf commands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the result to this file instead of stdout")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--seq1")
+    pair.add_argument("--seq2")
+    pair.add_argument("--fasta", help="two-record FASTA instead of --seq1/--seq2")
+    hmm_input = argparse.ArgumentParser(add_help=False)
+    hmm_input.add_argument("--params", required=True, help="HMM parameter JSON")
+    hmm_input.add_argument(
+        "--observations", required=True, help="text file, one observation per line"
+    )
+    hmm_input.add_argument(
+        "--alphabet", help="observation alphabet (default ACGT when l=4, else digits)"
+    )
+
+    def leaf(subparsers, name, handler, *groups, **kwargs):
+        p = subparsers.add_parser(name, parents=[*groups, out], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = leaf(sub, "pipeline", _cmd_pipeline,
+             help="distances -> tree -> conservation probability")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--distances", help="distance matrix (PHYLIP square or JSON)")
     src.add_argument("--alignment", help="aligned FASTA of neutral sites")
@@ -274,99 +253,62 @@ def build_parser() -> argparse.ArgumentParser:
         default=pipeline.DEFAULT_GENOME_LENGTH,
         help="genome length used for the genome-scale estimate",
     )
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(handler=_cmd_pipeline)
 
-    p = sub.add_parser("dist", help="pairwise corrected distances from an alignment")
+    p = leaf(sub, "dist", _cmd_dist,
+             help="pairwise corrected distances from an alignment")
     p.add_argument("--alignment", required=True)
     p.add_argument("--format", choices=("phylip", "json"), default="phylip")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("nj", help="distance-based tree building")
     nj_sub = p.add_subparsers(dest="nj_command", required=True)
-    b = nj_sub.add_parser("build", help="neighbor-joining tree from a matrix")
+    b = leaf(nj_sub, "build", _cmd_nj, help="neighbor-joining tree from a matrix")
     b.add_argument("--distances", required=True)
-    b.add_argument("--out")
-    b.set_defaults(handler=_cmd_nj)
 
     p = sub.add_parser("align", help="pairwise alignment operations")
     align_sub = p.add_subparsers(dest="align_command", required=True)
-    for name, needs_params in (
-        ("prob", True),
-        ("viterbi", True),
-        ("score", False),
-        ("polygon", False),
-    ):
-        a = align_sub.add_parser(name)
-        a.add_argument("--seq1")
-        a.add_argument("--seq2")
-        a.add_argument("--fasta", help="two-record FASTA instead of --seq1/--seq2")
-        if needs_params:
-            a.add_argument("--params", required=True, help="pair-HMM parameter JSON")
-        if name == "score":
-            a.add_argument("--mis", type=float, required=True)
-            a.add_argument("--gap", type=float, required=True)
-        a.add_argument("--out")
-        a.set_defaults(handler=_cmd_align)
-    e = align_sub.add_parser("enumerate")
+    for name in ("prob", "viterbi"):
+        leaf(align_sub, name, _cmd_align, pair).add_argument(
+            "--params", required=True, help="pair-HMM parameter JSON"
+        )
+    a = leaf(align_sub, "score", _cmd_align, pair)
+    a.add_argument("--mis", type=float, required=True)
+    a.add_argument("--gap", type=float, required=True)
+    leaf(align_sub, "polygon", _cmd_align, pair)
+    e = leaf(align_sub, "enumerate", _cmd_align)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
     e.add_argument("--cap", type=int, default=pairhmm.ENUMERATION_CAP)
-    e.add_argument("--out")
-    e.set_defaults(handler=_cmd_align)
 
     p = sub.add_parser("hmm", help="hidden Markov model operations")
     hmm_sub = p.add_subparsers(dest="hmm_command", required=True)
-    for name in ("forward", "viterbi", "train"):
-        h = hmm_sub.add_parser(name)
-        h.add_argument("--params", required=True, help="HMM parameter JSON")
-        h.add_argument(
-            "--observations", required=True, help="text file, one observation per line"
-        )
-        h.add_argument(
-            "--alphabet",
-            help="observation alphabet (default ACGT when l=4, else digits)",
-        )
-        if name == "train":
-            h.add_argument("--max-iters", type=int, default=100)
-            h.add_argument("--tol", type=float, default=1e-8)
-        h.add_argument("--out")
-        h.set_defaults(handler=_cmd_hmm)
+    leaf(hmm_sub, "forward", _cmd_hmm, hmm_input)
+    leaf(hmm_sub, "viterbi", _cmd_hmm, hmm_input)
+    h = leaf(hmm_sub, "train", _cmd_hmm, hmm_input)
+    h.add_argument("--max-iters", type=int, default=100)
+    h.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("codon", help="codon-position independence diagnostics")
     codon_sub = p.add_subparsers(dest="codon_command", required=True)
-    c = codon_sub.add_parser("test")
-    c.add_argument("--fasta", required=True)
-    c.add_argument("--out")
-    c.set_defaults(handler=_cmd_codon)
+    leaf(codon_sub, "test", _cmd_codon).add_argument("--fasta", required=True)
 
     p = sub.add_parser("tree", help="tree-metric diagnostics")
     tree_sub = p.add_subparsers(dest="tree_command", required=True)
-    f = tree_sub.add_parser("fourpoint")
-    f.add_argument("--distances", required=True)
-    f.add_argument("--out")
-    f.set_defaults(handler=_cmd_tree)
-    m = tree_sub.add_parser("mtree")
-    m.add_argument("--input", required=True, help="m-dissimilarity JSON")
-    m.add_argument("--out")
-    m.set_defaults(handler=_cmd_tree)
-    g = tree_sub.add_parser("gr36")
-    g.add_argument("--input", required=True, help="3-dissimilarity JSON on six taxa")
-    g.add_argument("--out")
-    g.set_defaults(handler=_cmd_tree)
+    leaf(tree_sub, "fourpoint", _cmd_tree).add_argument("--distances", required=True)
+    for name, what in (
+        ("mtree", "m-dissimilarity JSON"),
+        ("gr36", "3-dissimilarity JSON on six taxa"),
+    ):
+        leaf(tree_sub, name, _cmd_tree).add_argument("--input", required=True, help=what)
 
     p = sub.add_parser("motif", help="exact motif search")
     motif_sub = p.add_subparsers(dest="motif_command", required=True)
-    mm = motif_sub.add_parser("find")
-    mm.add_argument("--fasta", required=True)
-    mm.add_argument(
+    m = leaf(motif_sub, "find", _cmd_motif)
+    m.add_argument("--fasta", required=True)
+    m.add_argument(
         "--motif",
         default=pipeline.CONSERVED_ELEMENT_42,
         help="query (default: the conserved 42-mer)",
     )
-    mm.add_argument("--out")
-    mm.set_defaults(handler=_cmd_motif)
 
     return parser
 
@@ -381,7 +323,12 @@ def main(argv=None) -> int:
     # stale reference to a replaced module attribute
     handler = globals()[args.handler.__name__]
     try:
-        return handler(args)
+        text = handler(args)
+        text += "" if text.endswith("\n") else "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -389,6 +336,7 @@ def main(argv=None) -> int:
         # input too deep or too large for this process, still exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

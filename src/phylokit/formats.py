@@ -39,10 +39,11 @@ def parse_newick(text: str) -> PhyloTree:
     """Parse one Newick tree.
 
     Branch lengths default to 0; internal-node labels are accepted and
-    ignored.  Malformed input raises a ValueError that names the
-    character offset.  A rooted two-child top level is kept as a
-    degree-2 node; it subdivides the root edge without changing the
-    unrooted tree.
+    ignored.  An empty group ``()`` is an unlabeled leaf, the form
+    :func:`emit_newick` writes for one.  Malformed input raises a
+    ValueError that names the character offset.  A rooted two-child
+    top level is kept as a degree-2 node; it subdivides the root edge
+    without changing the unrooted tree.
     """
     tree = PhyloTree()
     open_nodes: list[int] = []  # internal nodes whose ')' is still ahead
@@ -51,18 +52,22 @@ def parse_newick(text: str) -> PhyloTree:
         if node is None:
             mark = _MARK.match(text, pos)
             if mark[1] == "(":
-                open_nodes.append(tree.add_node())
                 pos = mark.end()
-                continue
-            label = _LABEL.match(text, pos)
-            pos = label.end()
-            if not label[1]:
-                _fail("expected a leaf label" if mark[1] else "unexpected end of input",
-                      pos)
-            try:
-                node = tree.add_node(label=label[1])
-            except ValueError as exc:
-                _fail(str(exc), pos)
+                close = _MARK.match(text, pos)
+                if close[1] != ")":
+                    open_nodes.append(tree.add_node())
+                    continue
+                node, pos = tree.add_node(), close.end()  # "()": an unlabeled leaf
+            else:
+                label = _LABEL.match(text, pos)
+                pos = label.end()
+                if not label[1]:
+                    _fail("expected a leaf label" if mark[1] else
+                          "unexpected end of input", pos)
+                try:
+                    node = tree.add_node(label=label[1])
+                except ValueError as exc:
+                    _fail(str(exc), pos)
         length = _LENGTH.match(text, pos)
         pos = length.end()
         try:
@@ -144,6 +149,13 @@ def emit_newick(tree: PhyloTree) -> str:
 # distance matrices
 
 
+def _json_taxa(data) -> tuple[str, ...]:
+    taxa = data["taxa"]
+    if not isinstance(taxa, list):
+        raise ValueError(f"taxa must be a JSON array, not {type(taxa).__name__}")
+    return tuple(str(t) for t in taxa)
+
+
 def parse_distance_matrix(text: str) -> DissimilarityMap:
     """Square PHYLIP or JSON ({"taxa": [...], "matrix": [[...]]})
     distance matrix.  Must be symmetric within 1e-9 with a zero
@@ -152,11 +164,11 @@ def parse_distance_matrix(text: str) -> DissimilarityMap:
     if stripped.startswith("{"):
         data = json.loads(text)
         try:
-            taxa = [str(t) for t in data["taxa"]]
+            taxa = _json_taxa(data)
             matrix = np.array(data["matrix"], dtype=float)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"distance JSON needs taxa and matrix: {exc}") from None
-        return DissimilarityMap(taxa=tuple(taxa), values=matrix)
+        return DissimilarityMap(taxa=taxa, values=matrix)
 
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -185,7 +197,16 @@ def parse_distance_matrix(text: str) -> DissimilarityMap:
 
 
 def format_distance_matrix(dm: DissimilarityMap, style: str = "phylip") -> str:
+    """Square PHYLIP or JSON text that :func:`parse_distance_matrix`
+    reads back; PHYLIP rows are split on whitespace, so a PHYLIP label
+    that is empty or holds whitespace is refused."""
     if style == "phylip":
+        bad = [t for t in dm.taxa if t.split() != [t]]
+        if bad:
+            raise ValueError(
+                f"taxon label {bad[0]!r} cannot be written as PHYLIP: a label "
+                "needs a character and takes no whitespace"
+            )
         lines = [str(dm.size)]
         for i, taxon in enumerate(dm.taxa):
             row = " ".join(f"{v:.6f}" for v in dm.values[i])
@@ -207,11 +228,17 @@ def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
     "values": {"a,b,c": 1.25, ...}} with comma-joined subset keys."""
     data = json.loads(text)
     try:
-        taxa = tuple(str(t) for t in data["taxa"])
+        taxa = _json_taxa(data)
         m = int(data["m"])
-        values = {
-            frozenset(key.split(",")): float(v) for key, v in data["values"].items()
-        }
+        values = {}
+        for key, v in data["values"].items():
+            subset = frozenset(key.split(","))
+            if subset in values:
+                raise ValueError(
+                    f"key {key!r} names the subset {','.join(sorted(subset))!r} "
+                    "a second time"
+                )
+            values[subset] = float(v)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"m-dissimilarity JSON needs taxa, m, values: {exc}") from None
     return MDissimilarityMap(taxa=taxa, m=m, values=values)

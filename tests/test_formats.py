@@ -75,6 +75,8 @@ def test_parse_errors_carry_character_offsets():
         ("(a:1,b[x]:2);", "expected ')', found '[' at character 6"),
         ("(a:1,b'c:2);", """expected ')', found "'" at character 6"""),
         ("((a:1,b:2),c:3", "unexpected end of input at character 14"),
+        ("(a,b,()x);", "expected ')', found 'x' at character 7"),  # "()" takes no label
+        ("(a:1,b:2,:3);", "expected a leaf label at character 9"),
     ]:
         with pytest.raises(ValueError) as caught:
             parse_newick(text)
@@ -128,11 +130,13 @@ def test_emit_is_deterministic_and_sorted():
     for name in "cab":
         star.add_edge(hub, star.add_node(label=name), 1.0)
     assert emit_newick(star) == "(a:1.000000,b:1.000000,c:1.000000,():1.000000);"
+    assert emit_newick(parse_newick(emit_newick(star))) == emit_newick(star)
     pair = PhyloTree()  # two taxa, but not a single edge
     hub = pair.add_node()
     for name in ("a", "b", None):
         pair.add_edge(hub, pair.add_node(label=name), 0.5)
     assert emit_newick(pair) == "(a:0.500000,b:0.500000,():0.500000);"
+    assert emit_newick(parse_newick(emit_newick(pair))) == emit_newick(pair)
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,6 +240,24 @@ def test_nonzero_diagonal_rejected():
         parse_distance_matrix("2\na 0.2 1\nb 1 0\n")
 
 
+def test_phylip_writer_refuses_labels_the_reader_would_split():
+    for label in ("a b", "", "a\tb", " a"):
+        dm = DissimilarityMap((label, "c", "d"), np.zeros((3, 3)))
+        with pytest.raises(ValueError) as caught:
+            format_distance_matrix(dm, "phylip")
+        assert str(caught.value).startswith(f"taxon label {label!r} cannot be written")
+        again = parse_distance_matrix(format_distance_matrix(dm, "json"))
+        assert again.taxa == dm.taxa
+
+
+def test_json_readers_refuse_taxa_that_are_not_arrays():
+    for taxa in ("abc", {"a": 1}, 3):
+        with pytest.raises(ValueError, match="taxa must be a JSON array"):
+            parse_distance_matrix(json.dumps({"taxa": taxa, "matrix": np.eye(3).tolist()}))
+        with pytest.raises(ValueError, match="taxa must be a JSON array"):
+            parse_m_dissimilarity(json.dumps({"taxa": taxa, "m": 3, "values": {}}))
+
+
 def test_malformed_phylip_rejected():
     with pytest.raises(ValueError, match="taxon count"):
         parse_distance_matrix("a 0 1\nb 1 0\n")
@@ -264,6 +286,14 @@ def test_m_dissimilarity_json_validation():
         parse_m_dissimilarity(
             '{"taxa": ["a", "b", "c", "d"], "m": 3, "values": {"a,b,c": 1.0}}'
         )
+
+
+def test_m_dissimilarity_reader_refuses_a_subset_named_twice():
+    values = {",".join(s): 1.0 for s in combinations("abcd", 3)}
+    for key in ("c,b,a", "b,a,c"):
+        text = json.dumps({"taxa": list("abcd"), "m": 3, "values": {**values, key: 5}})
+        with pytest.raises(ValueError, match=f"key '{key}' names the subset 'a,b,c'"):
+            parse_m_dissimilarity(text)
 
 
 def test_m_dissimilarity_writer_refuses_labels_with_commas():

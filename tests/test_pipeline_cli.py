@@ -474,6 +474,86 @@ def test_cli_resource_errors_exit_2(monkeypatch, capsys, error):
     assert f"{error.__name__}: input nested too deep" in err
 
 
+def test_cli_refuses_json_inputs_with_a_repeated_subset_or_string_taxa(tmp_path, capsys):
+    values = {",".join(s): 1.0 for s in itertools.combinations("abcd", 3)}
+    path = tmp_path / "m3.json"
+    repeated = {**values, "c,b,a": 5}  # read as delta(a,b,c) = 5 before
+    path.write_text(json.dumps({"taxa": list("abcd"), "m": 3, "values": repeated}))
+    _exit_2_without_output(["tree", "mtree", "--input", str(path)], capsys, "'a,b,c'")
+    path.write_text(json.dumps({"taxa": "abcd", "m": 3, "values": values}))
+    _exit_2_without_output(["tree", "mtree", "--input", str(path)], capsys, "JSON array")
+    path.write_text(json.dumps({"taxa": "abc", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+    _exit_2_without_output(["nj", "build", "--distances", str(path)], capsys, "JSON array")
+
+
+def _leaf_commands(root):
+    """One call of each of the 16 leaf commands, on inputs written under root."""
+    pair = root / "pair.json"
+    pair.write_text(
+        json.dumps(
+            {
+                "S": [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.3, 0.2, 0.5]],
+                "tM": [[0.1, 0.05, 0.05, 0.05] for _ in range(4)],
+                "tI": [0.25] * 4,
+                "tD": [0.25] * 4,
+            }
+        )
+    )
+    two = root / "two.fa"
+    two.write_text(">a\nACGGTAC\n>b\nAGGTTACA\n")
+    hmm = root / "hmm.json"
+    hmm.write_text(json.dumps(_TWO_STATE_HMM))
+    obs = root / "obs.txt"
+    obs.write_text("0101\n0011\n")
+    codons = root / "codons.fa"
+    codons.write_text(">s1\nATGATGTAA\n>s2\nATGCCCGGGTTT\n")
+    m3 = root / "m3.json"
+    six = parse_newick("((a:1,b:2):1,(c:1,d:3):0.5,(e:2,f:1):1);")
+    m3.write_text(format_m_dissimilarity(m_dissimilarity(six, 3)))
+    hmm_input = ["--params", str(hmm), "--observations", str(obs)]
+    return {
+        "pipeline": ["pipeline", "--distances", _table3_path()],
+        "dist": ["dist", "--alignment", _toy_alignment_path()],
+        "nj build": ["nj", "build", "--distances", _table3_path()],
+        "align prob": ["align", "prob", "--params", str(pair), "--fasta", str(two)],
+        "align viterbi": ["align", "viterbi", "--params", str(pair), "--fasta", str(two)],
+        "align score": ["align", "score", "--mis", "1", "--gap", "2", "--fasta", str(two)],
+        "align polygon": ["align", "polygon", "--fasta", str(two)],
+        "align enumerate": ["align", "enumerate", "--n", "2", "--m", "2"],
+        "hmm forward": ["hmm", "forward", *hmm_input],
+        "hmm viterbi": ["hmm", "viterbi", *hmm_input],
+        "hmm train": ["hmm", "train", *hmm_input, "--max-iters", "5"],
+        "codon test": ["codon", "test", "--fasta", str(codons)],
+        "tree fourpoint": ["tree", "fourpoint", "--distances", _table3_path()],
+        "tree mtree": ["tree", "mtree", "--input", str(m3)],
+        "tree gr36": ["tree", "gr36", "--input", str(m3)],
+        "motif find": ["motif", "find", "--fasta", _context_path()],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "pipeline", "dist", "nj build", "align prob", "align viterbi", "align score",
+        "align polygon", "align enumerate", "hmm forward", "hmm viterbi", "hmm train",
+        "codon test", "tree fourpoint", "tree mtree", "tree gr36", "motif find",
+    ],
+)
+def test_cli_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, command):
+    argv = _leaf_commands(tmp_path)[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "result"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+    assert printed.endswith("\n") and not printed.endswith("\n\n")
+    beside = capsys.readouterr().out
+    if command == "pipeline":  # the summary still goes to stdout
+        assert beside == run_pipeline(PipelineConfig(distances=_table3_path())).to_text()
+    else:
+        assert beside == ""
+
+
 # ---------------------------------------------------------------------------
 # array site counting against the per-pair loop it replaced
 
