@@ -114,17 +114,18 @@ def _cmd_hmm(args) -> str:
     ]
     if not lines:
         raise ValueError("no observations found")
-    alphabet = args.alphabet or ("ACGT" if params.l == 4 else "")
-    if alphabet:
-        if len(alphabet) != params.l:
-            raise ValueError(
-                f"alphabet {alphabet!r} does not match emission width {params.l}"
-            )
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
-        encoded = _encode_observations(lines, alphabet)
-    else:
-        encoded = [[int(c) for c in line] for line in lines]
+    if not args.alphabet and params.l > 10:
+        raise ValueError(
+            f"emission width {params.l} exceeds the 10 digits: give --alphabet"
+        )
+    alphabet = args.alphabet or ("ACGT" if params.l == 4 else "0123456789"[:params.l])
+    if len(alphabet) != params.l:
+        raise ValueError(
+            f"alphabet {alphabet!r} does not match emission width {params.l}"
+        )
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
+    encoded = _encode_observations(lines, alphabet)
 
     if args.hmm_command == "forward":
         log_ps = [hmm.log_forward(params, obs) for obs in encoded]
@@ -154,8 +155,11 @@ def _cmd_hmm(args) -> str:
 def _cmd_codon(args) -> str:
     records = read_fasta(Path(args.fasta).read_text())
     table = np.zeros((4, 4, 4), dtype=np.int64)
-    for _, seq in records:
-        table += codonmodel.codon_counts_from_sequence(seq).counts
+    for name, seq in records:
+        try:
+            table += codonmodel.codon_counts_from_sequence(seq).counts
+        except ValueError as exc:
+            raise ValueError(f"record {name!r}: {exc}") from None
     counts = codonmodel.CodonCounts(table)
     report = codonmodel.independence_test(counts)
     diag = codonmodel.segre_residual(counts.frequency_table())

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .semirings import LatticePolygon, convex_hull
+from .semirings import LatticePolygon, ProbabilitySemiring, Semiring, convex_hull
 
 NUCLEOTIDES = "ACGT"
 _NUC_INDEX = {c: i for i, c in enumerate(NUCLEOTIDES)}
@@ -309,7 +309,8 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 #
 # Max-plus adds in the order (prev + log trans) + log emit and keeps, per
 # node, a bit mask of the predecessor states that reach the maximum
-# exactly; its zero is NaN, so a missing state neither wins nor ties.
+# exactly.  Its zero is NaN under fmax, not the -inf of MaxPlusSemiring,
+# so a missing state neither wins nor ties with a node whose best is -inf.
 # Ties are resolved once, at the end: every node on an optimal path is
 # marked backwards from the best final states, and the word is read
 # forwards from (0, 0), taking the smallest letter (D < I < M) into a
@@ -317,6 +318,7 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 # prefixes of one another, that is the lexicographically smallest one.
 
 _START = 3
+_VITERBI = Semiring(np.nan, 0.0, np.fmax, np.add)
 #: (rows, columns) that each state's letter consumes, by state index
 _MOVES = ((1, 1), (0, 1), (1, 0))
 _WALK_ORDER = (_S["D"], _S["I"], _S["M"])
@@ -329,44 +331,43 @@ def _codes(seq: str) -> np.ndarray:
     return np.array([_NUC_INDEX[c] for c in seq], dtype=np.intp)
 
 
-def _sweep(tables, s1: str, s2: str, zero: float, one: float, times, plus, step):
+def _sweep(tables, s1: str, s2: str, sr: Semiring, step):
     """Run the grid over the anti-diagonals d = 1 .. n + m.
 
     ``tables`` are the transition, match, insert and delete tables in the
-    semiring's values, ``zero`` and ``one`` its neutral elements and the
-    ufuncs ``times`` and ``plus`` its product and sum.  ``step(d, lo, hi,
-    cand, nodes)`` sees views of diagonal d's (3, 4, w) candidates by target
-    and source and its (3, w) sums for rows lo .. hi, and may rewrite
-    ``nodes`` in place.  Returns the final cell's M, I and D."""
+    values of the float semiring ``sr``.  ``step(d, lo, hi, cand, nodes)``
+    sees views of diagonal d's (3, 4, w) candidates by target and source
+    and its (3, w) sums for rows lo .. hi, and may rewrite ``nodes`` in
+    place.  Returns the final cell's M, I and D."""
     trans, match, insert, delete = tables
-    trans = np.vstack((trans, np.full(3, one))).T[:, :, None]  # [target, source]
+    trans = np.vstack((trans, np.full(3, sr.one))).T[:, :, None]  # [target, source]
     a, b = (np.concatenate(([0], _codes(s))) for s in (s1, s2))  # 1-based letters
     n, m = len(a) - 1, len(b) - 1
     ins_rev, del_pad = insert[b[::-1]], delete[a]  # ins_rev[m - j]: into column j
     # (i, d - i) emits match_at[n + m - d + at[i]] = match[a[i], b[d - i]]
     match_at = np.concatenate((np.zeros(n), match[:, b[::-1]].ravel()))
     at, emit_m = a * (m + 1) + np.arange(n + 1), np.empty(n + 1)
-    vals = np.full((3, 4, n + 2), zero)  # diagonal d in vals[d % 3]
-    vals[0, _START, 1] = one
+    vals = np.full((3, 4, n + 2), sr.zero)  # diagonal d in vals[d % 3]
+    vals[0, _START, 1] = sr.one
     cand = np.empty((3, 4, n + 1))
     for d in range(1, n + m + 1):
         lo, hi = max(0, d - m), min(n, d)
         rows, cols = slice(lo, hi + 1), slice(m - d + lo, m - d + hi + 1)
         c = cand[:, :, :hi - lo + 1]
         # sources: M row i - 1 of diagonal d - 2, I row i and D row i - 1 of d - 1
-        times(vals[(d - 2) % 3, :, rows], trans[0], c[0])
-        times(vals[(d - 1) % 3, :, lo + 1:hi + 2], trans[1], c[1])
-        times(vals[(d - 1) % 3, :, rows], trans[2], c[2])
+        sr.mul(vals[(d - 2) % 3, :, rows], trans[0], c[0])
+        sr.mul(vals[(d - 1) % 3, :, lo + 1:hi + 2], trans[1], c[1])
+        sr.mul(vals[(d - 1) % 3, :, rows], trans[2], c[2])
         e = emit_m[:hi - lo + 1]
         match_at[n + m - d:].take(at[rows], None, e)
-        times(c[0], e, c[0])
-        times(c[1], ins_rev[cols], c[1])
-        times(c[2], del_pad[rows], c[2])
+        sr.mul(c[0], e, c[0])
+        sr.mul(c[1], ins_rev[cols], c[1])
+        sr.mul(c[2], del_pad[rows], c[2])
         nodes = vals[d % 3, :3, lo + 1:hi + 2]
-        plus.reduce(c, 1, None, nodes)
+        sr.add.reduce(c, 1, None, nodes)
         step(d, lo, hi, c, nodes)
         if d == 2:  # the start node feeds diagonals 1 and 2 only
-            vals[0, _START, 1] = zero
+            vals[0, _START, 1] = sr.zero
     return vals[(n + m) % 3, :3, n + 1]
 
 
@@ -383,7 +384,7 @@ def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]
         np.ldexp(nodes, -shift, nodes)
 
     tables = (p.trans, p.emit_match, p.emit_insert, p.emit_delete)
-    final = _sweep(tables, s1, s2, 0.0, 1.0, np.multiply, np.add, step)
+    final = _sweep(tables, s1, s2, ProbabilitySemiring, step)
     return float(final.sum()), exps[-1]
 
 
@@ -561,7 +562,7 @@ def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
         f *= _SOURCE_BITS
         np.add.reduce(f, 1, None, tight[:, base[d] + lo:base[d] + hi + 1])
 
-    final = _sweep(tables, s1, s2, np.nan, 0.0, np.add, np.fmax, step)
+    final = _sweep(tables, s1, s2, _VITERBI, step)
     score = np.fmax.reduce(final)
     marked = _mark(tight, final == score, n, m, base).data
     tight = [t.data for t in tight]

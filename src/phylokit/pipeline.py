@@ -246,8 +246,8 @@ def _read_input(source: str | Path) -> str:
 
 def distances_from_alignment(alignment: AlignedFasta):
     """Pairwise corrected distances for all taxon pairs, in sorted
-    order.  A saturated pair (too many differences for a finite
-    estimate) is reported by name."""
+    order.  A pair with no finite estimate (saturated, or with no site
+    where both hold a plain base) is reported by name."""
     taxa = alignment.taxa
     seqs = dict(alignment.records)
     codes, plain = _encode([seqs[t] for t in taxa])
@@ -259,6 +259,8 @@ def distances_from_alignment(alignment: AlignedFasta):
                 dist = jc_distance(n, k)
             except SaturationError as exc:
                 raise SaturationError(f"pair ({a}, {b}) is saturated: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"pair ({a}, {b}): {exc}") from None
             pairwise.append(
                 PairwiseDistance(
                     taxon_a=a, taxon_b=b, sites=n, differences=k, distance=dist

@@ -4,16 +4,14 @@ Three semirings drive one shared fold: ordinary probability arithmetic,
 max-plus (tropical) arithmetic, and lattice polygons under (convex hull
 of union, Minkowski sum).  Summing a product of step weights over all
 state paths of a chain is the same algorithm in each case; only the
-(add, mul) pair changes.  Under max-plus the chain fold runs on a float
-array and recovers the arg-max path from integer backpointers.
+(add, mul) pair of ufuncs changes.  Under max-plus the chain fold also
+recovers the arg-max path from integer backpointers.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -110,23 +108,24 @@ def polygon_product(a: LatticePolygon, b: LatticePolygon) -> LatticePolygon:
 
 @dataclass(frozen=True)
 class Semiring:
-    """Values under ``add`` and ``mul``, with identities ``zero`` and
-    ``one``: ``mul`` distributes over ``add``, and ``zero`` absorbs under
-    ``mul``."""
+    """Values under the ufuncs ``add`` and ``mul``, with identities ``zero``
+    and ``one``: ``mul`` distributes over ``add``, ``zero`` absorbs under
+    ``mul``, and both act elementwise on arrays."""
 
     zero: object
     one: object
-    add: Callable
-    mul: Callable
+    add: np.ufunc
+    mul: np.ufunc
 
 
 #: non-negative reals under (+, *)
-ProbabilitySemiring = Semiring(0.0, 1.0, operator.add, operator.mul)
-#: R u {-inf} under (max, +), on plain floats
-MaxPlusSemiring = Semiring(NEG_INF, 0.0, max, operator.add)
-#: lattice polygons under (hull of union, Minkowski sum)
+ProbabilitySemiring = Semiring(0.0, 1.0, np.add, np.multiply)
+#: R u {-inf} under (max, +)
+MaxPlusSemiring = Semiring(NEG_INF, 0.0, np.maximum, np.add)
+#: lattice polygons under (hull of union, Minkowski sum), on object arrays
 PolygonSemiring = Semiring(
-    LatticePolygon.empty(), LatticePolygon.point(0, 0), polygon_sum, polygon_product
+    LatticePolygon.empty(), LatticePolygon.point(0, 0),
+    np.frompyfunc(polygon_sum, 2, 1), np.frompyfunc(polygon_product, 2, 1),
 )
 
 _SEMIRINGS = {
@@ -157,9 +156,9 @@ class ChainSpec:
     folded in by the caller); ``steps[t, i, j]`` is the weight of moving
     from state i at position t to state j at position t+1.  All weights
     must live in the semiring the chain is later evaluated under.
-    ``steps`` is an array of shape ``(n - 1, k, k)``: an ndarray is kept
-    as given, nested sequences are converted once (to floats for numbers,
-    to an object array for other semiring values).  ``labels`` must be
+    ``steps`` is an array of shape ``(n - 1, k, k)`` or a nesting that
+    ``np.asarray`` turns into one (``()`` is no steps; values other than
+    numbers give an object array).  ``labels`` must be
     distinct: they fix the total order used for max-plus tie-breaking.
     They default to decimal state indices.  Specs compare and hash by
     identity, since array-valued fields have no elementwise ``==``.
@@ -174,16 +173,10 @@ class ChainSpec:
         if k == 0:
             raise ValueError("chain needs at least one state")
         object.__setattr__(self, "initial", tuple(self.initial))
-        steps = self.steps
-        if not isinstance(steps, np.ndarray):
-            steps = tuple(tuple(tuple(row) for row in w) for w in steps)
-            for t, w in enumerate(steps):
-                if len(w) != k or any(len(row) != k for row in w):
-                    raise ValueError(
-                        f"step {t} is not a {k}x{k} matrix (got {len(w)} rows)"
-                    )
-            steps = np.array(steps).reshape(len(steps), k, k)
-        elif steps.ndim != 3 or steps.shape[1:] != (k, k):
+        steps = np.asarray(self.steps)  # a ragged nesting raises here
+        if steps.shape == (0,):
+            steps = steps.reshape(0, k, k)
+        if steps.ndim != 3 or steps.shape[1:] != (k, k):
             raise ValueError(
                 f"steps must have shape (n - 1, {k}, {k}), got {steps.shape}"
             )
@@ -216,22 +209,19 @@ class ChainResult:
 def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
     """Fold the chain: add over all state paths of the mul of path weights.
 
-    Runs in O(length * states^2) semiring operations.  Under max-plus the
-    chain weights must be plain floats (log weights); the result carries
-    the arg-max path with exact ties broken by the lexicographically
-    smallest label sequence.
+    Runs in O(length * states^2) semiring operations, one array step per
+    position, each sum in state order.  Under max-plus the chain weights
+    must be floats (log weights); the result carries the arg-max path
+    with exact ties broken by the lexicographically smallest label sequence.
     """
     sr = resolve_semiring(semiring)
     if sr is MaxPlusSemiring:
         return _argmax_chain(spec)
-    cur = list(spec.initial)
-    k = spec.states
-    for w in spec.steps.tolist():
-        cur = [
-            reduce(sr.add, (sr.mul(cur[i], w[i][j]) for i in range(k)))
-            for j in range(k)
-        ]
-    return ChainResult(reduce(sr.add, cur))
+    cur = np.asarray(spec.initial)
+    for w in spec.steps:
+        cur = sr.add.reduce(sr.mul(cur[:, None], w), axis=0)
+    # accumulate, unlike a 1-D reduce, sums strictly left to right
+    return ChainResult(sr.add.accumulate(cur).tolist()[-1])
 
 
 def _argmax_chain(spec: ChainSpec) -> ChainResult:

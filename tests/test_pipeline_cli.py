@@ -794,3 +794,65 @@ def test_simulate_and_rebuild_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "recovered" in done.stdout
+
+
+def test_a_pair_with_no_shared_plain_site_is_named(tmp_path, capsys):
+    from phylokit.evolution import SaturationError
+
+    text = ">a\nACGT----\n>b\n----ACGT\n>c\nACGTACGT\n"
+    with pytest.raises(ValueError, match=r"^pair \(a, b\): site count") as info:
+        distances_from_alignment(AlignedFasta.from_text(text))
+    assert not isinstance(info.value, SaturationError)
+    fasta = tmp_path / "gaps.fa"
+    fasta.write_text(text)
+    for command in ("dist", "pipeline"):
+        _exit_2_without_output(
+            [command, "--alignment", str(fasta)],
+            capsys,
+            "pair (a, b): site count must be at least 1",
+        )
+    # saturation keeps its type and its text
+    saturated = ">a\nACGTACGTACGT\n>b\nCATGCATGCATG\n>c\nACGTACGTACGA\n"
+    with pytest.raises(SaturationError) as info:
+        distances_from_alignment(AlignedFasta.from_text(saturated))
+    assert str(info.value) == (
+        "pair (a, b) is saturated: 12 differences in 12 sites exceed the "
+        "resolvable fraction 3/4"
+    )
+
+
+def test_cli_codon_errors_name_the_record(tmp_path, capsys):
+    fasta = tmp_path / "codons.fa"
+    argv = ["codon", "test", "--fasta", str(fasta)]
+    for seq, message in (
+        ("ATGNAA", "record 'y': invalid nucleotide 'N' at position 3"),
+        ("ATGAA", "record 'y': sequence length 5 is not divisible by 3"),
+    ):
+        fasta.write_text(f">x\nATGATG\n>y\n{seq}\n")
+        _exit_2_without_output(argv, capsys, message)
+
+
+def test_cli_hmm_reads_every_observation_through_one_alphabet(tmp_path, capsys):
+    params = tmp_path / "hmm.json"
+    params.write_text(
+        json.dumps({"S": [[0.5, 0.5], [0.5, 0.5]], "T": [[1 / 3] * 3] * 2, "init": [0.5, 0.5]})
+    )
+    obs = tmp_path / "obs.txt"
+    argv = ["hmm", "viterbi", "--params", str(params), "--observations", str(obs)]
+    obs.write_text("012\n")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)[0]["path"] == "000"
+    # a non-digit and a digit past the emission width fail alike
+    for line in ("01a", "015"):
+        obs.write_text(line + "\n")
+        _exit_2_without_output(
+            argv, capsys, f"symbol {line[-1]!r} on line 1 is not in the alphabet '012'"
+        )
+    # twelve symbols cannot be named by single digits
+    params.write_text(json.dumps({"S": [[1.0]], "T": [[1 / 12] * 12], "init": [1.0]}))
+    obs.write_text("0ab\n")
+    argv[1] = "forward"
+    _exit_2_without_output(argv, capsys, "give --alphabet")
+    assert main(argv + ["--alphabet", "0123456789ab"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["probability"] == pytest.approx(12.0**-3)

@@ -3,6 +3,8 @@ against path enumeration and gift-wrapping oracles."""
 
 import itertools
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -173,8 +175,16 @@ def test_chain_rejects_unknown_semiring_tags():
 
 
 def test_chain_dimension_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        ChainSpec(initial=(1.0, 1.0), steps=(((0.5, 0.5),),))
+    for steps in (
+        (((0.5, 0.5),),),
+        np.zeros((2, 0, 0)),
+        # ragged nestings
+        (((0.5, 0.5), (0.5,)),),
+        (((0.5, 0.5), (0.5, 0.5)), ((0.5,), (0.5, 0.5))),
+        (((0.5, 0.5), (0.5, 0.5)), ((0.5, 0.5),)),
+    ):
+        with pytest.raises(ValueError):
+            ChainSpec(initial=(1.0, 1.0), steps=steps)
 
 
 def test_chain_prob_matches_exhaustive_path_sum():
@@ -366,3 +376,98 @@ def test_chain_rejects_duplicate_labels():
     best, word = _maxplus_by_enumeration(np.zeros(3), spec.steps, spec.labels)
     got = evaluate_chain(spec, "max-plus")
     assert (got.value, got.path) == (best, word) == (0.0, ("a", "b", "a"))
+
+
+# ---------------------------------------------------------------------------
+# the ufunc protocol
+
+
+def _random_floats(g, shape):
+    return g.random(shape) * 10.0 ** g.integers(-8, 8, size=shape)
+
+
+def _random_tropicals(g, shape):
+    values = g.integers(-40, 40, size=shape) / 4.0 + g.random(shape)
+    values[g.random(shape) < 0.2] = -math.inf
+    return values
+
+
+def _random_polygons(g, shape):
+    out = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape):
+        pts = [tuple(map(int, g.integers(-4, 5, size=2))) for _ in range(g.integers(0, 5))]
+        out[index] = LatticePolygon.from_points(pts)
+    return out
+
+
+_RECORDS = (
+    (ProbabilitySemiring, operator.add, operator.mul, _random_floats),
+    (MaxPlusSemiring, max, operator.add, _random_tropicals),
+    (PolygonSemiring, polygon_sum, polygon_product, _random_polygons),
+)
+
+
+@pytest.mark.parametrize("sr, add, mul, draw", _RECORDS, ids=("prob", "max-plus", "polygon"))
+def test_semiring_ufuncs_act_elementwise_and_fold_left_to_right(sr, add, mul, draw):
+    g = rng(31)
+    for _ in range(40):
+        shape = tuple(int(x) for x in g.integers(1, 7, size=2))
+        a, b = draw(g, shape), draw(g, shape)
+        rows_a, rows_b = a.tolist(), b.tolist()
+        for ufunc, op in ((sr.add, add), (sr.mul, mul)):
+            assert ufunc(a, b).tolist() == [
+                [op(x, y) for x, y in zip(r, s)] for r, s in zip(rows_a, rows_b)
+            ]
+        columns = [list(col) for col in zip(*rows_a)]
+        assert sr.add.reduce(a, axis=0).tolist() == [reduce(add, c) for c in columns]
+        for row in rows_a:  # the final sum of evaluate_chain
+            assert sr.add.accumulate(np.array(row)).tolist()[-1] == reduce(add, row)
+
+
+def _generator_fold(spec, add, mul):
+    # the chain fold as a scalar generator: per position and target state,
+    # a left-to-right sum over the source states
+    cur = list(spec.initial)
+    k = spec.states
+    for w in spec.steps.tolist():
+        cur = [reduce(add, (mul(cur[i], w[i][j]) for i in range(k))) for j in range(k)]
+    return reduce(add, cur)
+
+
+def test_chain_array_fold_equals_the_generator_fold():
+    g = rng(32)
+    for trial in range(60):
+        k, n = 1 + trial % 5, int(g.integers(1, 31))
+        initial = tuple(_random_floats(g, k).tolist())
+        spec = ChainSpec(initial=initial, steps=_random_floats(g, (n - 1, k, k)))
+        got = evaluate_chain(spec, "prob").value
+        assert type(got) is float
+        assert got == _generator_fold(spec, operator.add, operator.mul)
+    for trial in range(15):
+        k, n = 1 + trial % 3, 1 + trial % 5
+        spec = ChainSpec(
+            initial=tuple(_random_polygons(g, k)),
+            steps=_random_polygons(g, (n - 1, k, k)),
+        )
+        got = evaluate_chain(spec, "polygon").value
+        assert got == _generator_fold(spec, polygon_sum, polygon_product)
+
+
+def test_chain_spec_gives_one_array_form_for_every_steps_input():
+    g = rng(33)
+    for k in range(1, 5):
+        initial = (0.0,) * k
+        empty = np.zeros((0, k, k))
+        for steps in ((), [], empty):
+            spec = ChainSpec(initial=initial, steps=steps)
+            assert (spec.steps.shape, spec.steps.dtype) == (empty.shape, empty.dtype)
+            assert spec.length == 1
+        arr = _random_floats(g, (3, k, k))
+        as_array = ChainSpec(initial=initial, steps=arr)
+        as_nesting = ChainSpec(initial=initial, steps=tuple(map(tuple, arr.tolist())))
+        assert as_array.steps is arr
+        assert (as_nesting.steps.shape, as_nesting.steps.dtype) == (arr.shape, arr.dtype)
+        assert np.array_equal(as_nesting.steps, arr)
+        polygons = _random_polygons(g, (2, k, k))
+        nested = ChainSpec(initial=tuple(polygons[0, 0]), steps=polygons.tolist()).steps
+        assert (nested.shape, nested.dtype) == (polygons.shape, polygons.dtype)
