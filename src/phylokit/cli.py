@@ -2,7 +2,8 @@
 
 Subcommands: pipeline, dist, nj, align, hmm, codon, tree, motif.
 Each handler returns its result as text and ``main`` writes it once, to
-the ``--out`` file or to stdout.  Exit code 0 on success, 2 on any input
+the ``--out`` file or to stdout.  JSON output is strict: a non-finite
+float is written as ``null``.  Exit code 0 on success, 2 on any input
 problem (bad files, malformed formats, violated preconditions).
 """
 
@@ -11,12 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import codonmodel, hmm, pairhmm, pipeline, treespace
+from .alphabet import NUCLEOTIDES
 from .formats import (
     emit_newick,
     format_distance_matrix,
@@ -28,6 +31,19 @@ from .formats import (
     read_fasta,
 )
 from .pipeline import AlignedFasta, PipelineConfig
+
+
+def _json(value) -> str:
+    """Strict JSON text of ``value``, each non-finite float written as null."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        return [finite(item) for item in v] if isinstance(v, (list, tuple)) else v
+
+    return json.dumps(finite(value), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +88,11 @@ def _read_pair_sequences(args) -> tuple[str, str]:
 def _cmd_align(args) -> str:
     if args.align_command == "enumerate":
         words = pairhmm.enumerate_alignments(args.n, args.m, cap=args.cap)
-        return json.dumps({"count": len(words), "alignments": words})
+        return _json({"count": len(words), "alignments": words})
 
     s1, s2 = _read_pair_sequences(args)
     if args.align_command == "polygon":
-        return json.dumps(pairhmm.parametric_polygon(s1, s2).to_dict())
+        return _json(pairhmm.parametric_polygon(s1, s2).to_dict())
     if args.align_command == "score":
         scheme = pairhmm.ScoringScheme(mismatch=args.mis, gap=args.gap)
         best, key = pairhmm.score_alignment_basic(scheme, s1, s2), "score"
@@ -85,10 +101,10 @@ def _cmd_align(args) -> str:
         if args.align_command == "prob":
             value = pairhmm.pair_probability(params, s1, s2)
             log_value = pairhmm.log_pair_probability(params, s1, s2)
-            return json.dumps({"probability": value, "logProbability": log_value})
+            return _json({"probability": value, "logProbability": log_value})
         best, key = pairhmm.viterbi_alignment(params, s1, s2), "logScore"
     gapped = pairhmm.format_alignment(best.word, s1.upper(), s2.upper())
-    return json.dumps({"alignment": best.word, key: best.score}) + "\n" + gapped
+    return _json({"alignment": best.word, key: best.score}) + "\n" + gapped
 
 
 def _encode_observations(lines: list[str], alphabet: str) -> list[list[int]]:
@@ -118,7 +134,7 @@ def _cmd_hmm(args) -> str:
         raise ValueError(
             f"emission width {params.l} exceeds the 10 digits: give --alphabet"
         )
-    alphabet = args.alphabet or ("ACGT" if params.l == 4 else "0123456789"[:params.l])
+    alphabet = args.alphabet or (NUCLEOTIDES if params.l == 4 else "0123456789"[:params.l])
     if len(alphabet) != params.l:
         raise ValueError(
             f"alphabet {alphabet!r} does not match emission width {params.l}"
@@ -133,7 +149,7 @@ def _cmd_hmm(args) -> str:
             {"observation": s, "probability": float(np.exp(lp)), "logProbability": lp}
             for s, lp in zip(lines, log_ps)
         ]
-        return json.dumps(rows)
+        return _json(rows)
     if args.hmm_command == "viterbi":
         rows = []
         for line, obs in zip(lines, encoded):
@@ -141,12 +157,12 @@ def _cmd_hmm(args) -> str:
             rows.append(
                 {"observation": line, "path": expl.path, "logScore": expl.log_score}
             )
-        return json.dumps(rows)
+        return _json(rows)
     trained, trace = hmm.baum_welch_train(
         params, encoded, max_iters=args.max_iters, tol=args.tol
     )
     print(
-        json.dumps({"iterations": len(trace) - 1, "logLikelihood": trace}),
+        _json({"iterations": len(trace) - 1, "logLikelihood": trace}),
         file=sys.stderr,
     )
     return hmm_params_to_json(trained)
@@ -163,7 +179,7 @@ def _cmd_codon(args) -> str:
     counts = codonmodel.CodonCounts(table)
     report = codonmodel.independence_test(counts)
     diag = codonmodel.segre_residual(counts.frequency_table())
-    return json.dumps(
+    return _json(
         {
             "codons": counts.total,
             "g2": report.g2,
@@ -180,7 +196,7 @@ def _cmd_tree(args) -> str:
         dm = parse_distance_matrix(Path(args.distances).read_text())
         verdict = treespace.check_four_point(dm)
         metric = treespace.check_metric(dm)
-        return json.dumps(
+        return _json(
             {
                 "isTreeMetric": bool(verdict) and bool(metric),
                 "fourPoint": bool(verdict),
@@ -191,9 +207,9 @@ def _cmd_tree(args) -> str:
         )
     md = parse_m_dissimilarity(Path(args.input).read_text())
     if args.tree_command == "gr36":
-        return json.dumps({"residuals": list(treespace.gr36_residuals(md))})
+        return _json({"residuals": list(treespace.gr36_residuals(md))})
     verdict = treespace.check_m_tree(md)
-    return json.dumps(
+    return _json(
         {
             "isMTree": bool(verdict),
             "vacuous": verdict.vacuous,
@@ -209,7 +225,7 @@ def _cmd_motif(args) -> str:
         {"taxon": name, "positions": pipeline.find_motif(seq.replace("-", ""), motif)}
         for name, seq in records
     ]
-    return json.dumps({"motif": motif, "hits": hits})
+    return _json({"motif": motif, "hits": hits})
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NUCLEOTIDES = "ACGT"
-_INDEX = {c: i for i, c in enumerate(NUCLEOTIDES)}
+from .alphabet import NUCLEOTIDES, encode
 
 #: Codon to amino-acid map (three-letter identifiers, "*" for stop).
 GENETIC_CODE = {
@@ -140,15 +139,9 @@ def codon_counts_from_sequence(dna: str) -> CodonCounts:
         raise ValueError(
             f"sequence length {len(dna)} is not divisible by 3"
         )
-    table = np.zeros((4, 4, 4), dtype=np.int64)
-    seq = dna.upper()
-    for pos, ch in enumerate(seq):
-        if ch not in _INDEX:
-            raise ValueError(f"invalid nucleotide {ch!r} at position {pos}")
-    for start in range(0, len(seq), 3):
-        i, j, k = (_INDEX[c] for c in seq[start:start + 3])
-        table[i, j, k] += 1
-    return CodonCounts(table)
+    c = encode(dna)
+    counts = np.bincount(16 * c[0::3] + 4 * c[1::3] + c[2::3], minlength=64)
+    return CodonCounts(counts.reshape(4, 4, 4))
 
 
 def independence_mle(u: CodonCounts) -> IndependenceParams:

@@ -16,10 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .alphabet import NUCLEOTIDES, encode
 from .trees import PhyloTree
-
-NUCLEOTIDES = "ACGT"
-_NUC_INDEX = {c: i for i, c in enumerate(NUCLEOTIDES)}
 
 
 class SaturationError(ValueError):
@@ -196,16 +194,18 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
     missing = [t for t in taxa if t not in pattern]
     if missing:
         raise ValueError(f"pattern is missing leaves: {missing}")
-    for t in taxa:
-        if pattern[t].upper() not in _NUC_INDEX:
-            raise ValueError(f"invalid nucleotide {pattern[t]!r} for leaf {t!r}")
-
-    root = _pruning_root(tree)
     # a leaf (which may serve as the root) starts from its observed-letter
     # indicator, any other node from ones, which sums an unlabeled leaf out;
     # walked backwards, the preorder reaches every child before its parent
     onehot, ones = np.eye(4), np.ones(4)
-    below = {tree.node_of(t): onehot[_NUC_INDEX[pattern[t].upper()]] for t in taxa}
+    below = {}
+    for t in taxa:
+        try:
+            (code,) = encode(pattern[t])
+        except ValueError:  # a bad character, or not exactly one
+            raise ValueError(f"invalid nucleotide {pattern[t]!r} for leaf {t!r}") from None
+        below[tree.node_of(t)] = onehot[code]
+    root = _pruning_root(tree)
     for parent, kids in reversed(tree.children_from(root).items()):
         for child in reversed(kids):
             p = edge_params_from_length(tree.edge_length(parent, child)).matrix()

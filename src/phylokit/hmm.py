@@ -110,6 +110,9 @@ class HmmParams:
     def from_dict(cls, data: dict) -> "HmmParams":
         if not isinstance(data, dict):
             raise ValueError("HMM parameters must be a JSON object")
+        missing = [key for key in ("S", "T") if key not in data]
+        if missing:
+            raise ValueError(f"HMM parameters need S and T: missing {missing[0]!r}")
         params = cls(
             trans=np.array(data["S"], dtype=float),
             emit=np.array(data["T"], dtype=float),

@@ -37,10 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .alphabet import NUCLEOTIDES, encode  # NUCLEOTIDES is re-exported
 from .semirings import LatticePolygon, ProbabilitySemiring, Semiring, convex_hull
-
-NUCLEOTIDES = "ACGT"
-_NUC_INDEX = {c: i for i, c in enumerate(NUCLEOTIDES)}
 
 #: Transition-table state order.
 STATES = ("M", "I", "D")
@@ -177,6 +175,11 @@ class PairHmmParams:
     def from_dict(cls, data: dict) -> "PairHmmParams":
         if not isinstance(data, dict):
             raise ValueError("pair-HMM parameters must be a JSON object")
+        missing = [key for key in ("S", "tM", "tI", "tD") if key not in data]
+        if missing:
+            raise ValueError(
+                f"pair-HMM parameters need S, tM, tI and tD: missing {missing[0]!r}"
+            )
         return cls(
             trans=np.array(data["S"], dtype=float),
             emit_match=np.array(data["tM"], dtype=float),
@@ -221,16 +224,17 @@ def _log_weight_params(match: float, mismatch: float, gap: float) -> PairHmmPara
     )
 
 
-def _check_sequences(s1: str, s2: str) -> tuple[str, str]:
+def _check_sequences(s1: str, s2: str) -> tuple[np.ndarray, np.ndarray]:
+    """The nucleotide codes of two non-empty sequences."""
+    codes = []
     for name, s in (("first", s1), ("second", s2)):
         if not s:
             raise ValueError(f"{name} sequence is empty")
-        for pos, ch in enumerate(s.upper()):
-            if ch not in _NUC_INDEX:
-                raise ValueError(
-                    f"invalid nucleotide {ch!r} at position {pos} of the {name} sequence"
-                )
-    return s1.upper(), s2.upper()
+        try:
+            codes.append(encode(s))
+        except ValueError as exc:
+            raise ValueError(f"{exc} of the {name} sequence") from None
+    return codes[0], codes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +259,16 @@ def _factors(p: PairHmmParams, word: str, s1: str, s2: str):
     """The factors of one word's parameter monomial in word order: each
     position's transition from the previous state (none for the first
     position), then its emission."""
-    s1, s2 = _check_sequences(s1, s2)
-    for k, (state, a, b) in enumerate(_columns(word, s1, s2)):
+    codes = _check_sequences(s1, s2)
+    for k, (state, a, b) in enumerate(_columns(word, *codes)):
         if k:
             yield float(p.trans[_S[word[k - 1]], _S[state]])
         if state == "M":
-            yield float(p.emit_match[_NUC_INDEX[a], _NUC_INDEX[b]])
+            yield float(p.emit_match[a, b])
         elif state == "I":
-            yield float(p.emit_insert[_NUC_INDEX[b]])
+            yield float(p.emit_insert[b])
         else:
-            yield float(p.emit_delete[_NUC_INDEX[a]])
+            yield float(p.emit_delete[a])
 
 
 def alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> float:
@@ -327,12 +331,9 @@ _SOURCE_BITS = np.array([[1], [2], [4], [8]], dtype=np.uint8)
 _KEEP = np.array([[255 * (v >> k & 1) for v in range(8)] for k in range(3)], np.uint8)
 
 
-def _codes(seq: str) -> np.ndarray:
-    return np.array([_NUC_INDEX[c] for c in seq], dtype=np.intp)
-
-
-def _sweep(tables, s1: str, s2: str, sr: Semiring, step):
-    """Run the grid over the anti-diagonals d = 1 .. n + m.
+def _sweep(tables, c1: np.ndarray, c2: np.ndarray, sr: Semiring, step):
+    """Run the grid over the anti-diagonals d = 1 .. n + m of the
+    sequences with nucleotide codes ``c1`` and ``c2``.
 
     ``tables`` are the transition, match, insert and delete tables in the
     values of the float semiring ``sr``.  ``step(d, lo, hi, cand, nodes)``
@@ -341,7 +342,7 @@ def _sweep(tables, s1: str, s2: str, sr: Semiring, step):
     place.  Returns the final cell's M, I and D."""
     trans, match, insert, delete = tables
     trans = np.vstack((trans, np.full(3, sr.one))).T[:, :, None]  # [target, source]
-    a, b = (np.concatenate(([0], _codes(s))) for s in (s1, s2))  # 1-based letters
+    a, b = (np.concatenate(([0], c)) for c in (c1, c2))  # 1-based letters
     n, m = len(a) - 1, len(b) - 1
     ins_rev, del_pad = insert[b[::-1]], delete[a]  # ins_rev[m - j]: into column j
     # (i, d - i) emits match_at[n + m - d + at[i]] = match[a[i], b[d - i]]
@@ -373,7 +374,7 @@ def _sweep(tables, s1: str, s2: str, sr: Semiring, step):
 
 def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]:
     """(mantissa, exponent) with pair probability = mantissa * 2**exponent."""
-    s1, s2 = _check_sequences(s1, s2)
+    codes = _check_sequences(s1, s2)
     exps = [0, 0]  # binary exponents of the diagonals so far, from d = -1
 
     def step(d, lo, hi, cand, nodes):
@@ -384,7 +385,7 @@ def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]
         np.ldexp(nodes, -shift, nodes)
 
     tables = (p.trans, p.emit_match, p.emit_insert, p.emit_delete)
-    final = _sweep(tables, s1, s2, ProbabilitySemiring, step)
+    final = _sweep(tables, *codes, ProbabilitySemiring, step)
     return float(final.sum()), exps[-1]
 
 
@@ -446,10 +447,11 @@ _LETTERS = "DIM"  # polygon letter codes, in witness order
 _LETTER_D, _LETTER_I, _LETTER_M = range(3)
 
 
-def _polygon_sweep(s1: str, s2: str) -> tuple[np.ndarray, np.ndarray, list]:
+def _polygon_sweep(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Least and greatest mismatch counts at the final cell by M count
-    t = 0 .. min(n, m), and each layer's letters by (a, b) in its box."""
-    n, m = len(s1), len(s2)
+    t = 0 .. min(n, m), and each layer's letters by (a, b) in its box,
+    for the sequences with nucleotide codes ``c1`` and ``c2``."""
+    n, m = len(c1), len(c2)
     # entries with no node start at ``absent`` and grow by at most one per
     # layer, so the packed count never reaches the sign bit
     absent = min(n, m) + 1
@@ -457,7 +459,7 @@ def _polygon_sweep(s1: str, s2: str) -> tuple[np.ndarray, np.ndarray, list]:
     mask = (1 << bits) - 1
     if 4 * 2 * (n + 1) * (m + 1) > mask:  # ranks of a full box, shifted once
         raise ValueError(f"sequence lengths ({n}, {m}) are too large for a polygon")
-    match = _codes(s1)[:, None] == _codes(s2)[None, :]
+    match = c1[:, None] == c2[None, :]
     counts = np.zeros((2, n + 1, m + 1), dtype=np.int64)
     counts[0, 1:, 1:] = ~match
     counts[1, 1:, 1:] = match
@@ -545,8 +547,12 @@ def log_pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
 def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
     """Alignment with the largest log monomial; exact ties resolved by
     the lexicographically smallest word under D < I < M."""
-    s1, s2 = _check_sequences(s1, s2)
-    n, m = len(s1), len(s2)
+    return _viterbi(p, *_check_sequences(s1, s2))
+
+
+def _viterbi(p: PairHmmParams, c1: np.ndarray, c2: np.ndarray) -> ScoredAlignment:
+    """:func:`viterbi_alignment` of the sequences with codes c1 and c2."""
+    n, m = len(c1), len(c2)
     with np.errstate(divide="ignore"):
         tables = [np.log(t) for t in (p.trans, p.emit_match, p.emit_insert, p.emit_delete)]
     # tight[k, base[d] + i]: bit s set when predecessor state s reaches the
@@ -562,7 +568,7 @@ def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:
         f *= _SOURCE_BITS
         np.add.reduce(f, 1, None, tight[:, base[d] + lo:base[d] + hi + 1])
 
-    final = _sweep(tables, s1, s2, _VITERBI, step)
+    final = _sweep(tables, c1, c2, _VITERBI, step)
     score = np.fmax.reduce(final)
     marked = _mark(tight, final == score, n, m, base).data
     tight = [t.data for t in tight]
@@ -602,11 +608,12 @@ def score_alignment_basic(scheme: ScoringScheme, s1: str, s2: str) -> ScoredAlig
     with the fewest indels tie and D < I < M picks one (``ACGT``/``ACG``
     at mismatch 1 and gap 1e308 gives ``DMMM``).
     """
-    s1, s2 = _check_sequences(s1, s2)
+    c1, c2 = _check_sequences(s1, s2)
     c = max(1.0, scheme.mismatch / 700, scheme.gap / 700)
     params = _log_weight_params(1.0 / c, scheme.mismatch / c, scheme.gap / c)
-    best = viterbi_alignment(params, s1, s2)
-    same = [a == b for state, a, b in _columns(best.word, s1, s2) if state == "M"]
+    best = _viterbi(params, c1, c2)
+    columns = _columns(best.word, c1.tolist(), c2.tolist())
+    same = [a == b for state, a, b in columns if state == "M"]
     matches, indels = sum(same), len(best.word) - len(same)
     score = matches - scheme.mismatch * (len(same) - matches) - scheme.gap * indels
     if not math.isfinite(score):
@@ -622,9 +629,9 @@ def parametric_polygon(s1: str, s2: str) -> ParametricPolygon:
     into regions of constant optimal alignment.  Each vertex carries its
     lexicographically smallest witness alignment.
     """
-    s1, s2 = _check_sequences(s1, s2)
-    n, m = len(s1), len(s2)
-    lo, hi, letters = _polygon_sweep(s1, s2)
+    c1, c2 = _check_sequences(s1, s2)
+    n, m = len(c1), len(c2)
+    lo, hi, letters = _polygon_sweep(c1, c2)
     y = (n + m - 2 * np.arange(len(lo))).tolist() * 2
     vertices = convex_hull(zip(lo.tolist() + hi.tolist(), y))
 

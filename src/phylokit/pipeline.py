@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .alphabet import encode
 from .evolution import SaturationError, all_same_probability, jc_distance
 from .formats import emit_newick, parse_distance_matrix, read_fasta
 from .treespace import DissimilarityMap, neighbor_join
@@ -34,39 +35,38 @@ DEFAULT_GENOME_LENGTH = 2.8e9
 
 REPORT_SPEC_VERSION = "1.0"
 
-# deleting these leaves only the characters an alignment may not hold
-_DELETE_VALID = str.maketrans("", "", "ACGTN-")
-
-# ASCII code -> is a plain base (A, C, G, T)
-_PLAIN = np.zeros(256, dtype=bool)
-_PLAIN[np.frombuffer(b"ACGT", dtype=np.uint8)] = True
-
 
 @dataclass(frozen=True)
 class AlignedFasta:
-    """Equal-length records over A, C, G, T, N and the gap character."""
+    """Equal-length records over A, C, G, T, N and the gap character, and
+    their codes (``encode(seq, gaps=True)``), one row per taxon in ``taxa``."""
 
     records: tuple[tuple[str, str], ...]
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        records = tuple((name, seq.upper()) for name, seq in self.records)
-        if not records:
+        given = tuple(self.records)
+        if not given:
             raise ValueError("alignment has no records")
-        names = [name for name, _ in records]
+        names = [name for name, _ in given]
         if len(set(names)) != len(names):
             raise ValueError("duplicate record names in alignment")
-        width = len(records[0][1])
-        for name, seq in records:
+        width = len(given[0][1])
+        rows = {}
+        for name, seq in given:
             if len(seq) != width:
                 raise ValueError(
                     f"record {name!r} has length {len(seq)}, expected {width}"
                 )
-            bad = seq.translate(_DELETE_VALID)
-            if bad:
-                raise ValueError(
-                    f"record {name!r} contains invalid characters {sorted(set(bad))}"
-                )
+            try:
+                rows[name] = encode(seq, gaps=True)
+            except ValueError as exc:
+                raise ValueError(f"record {name!r}: {exc}") from None
+        codes = np.array([rows[name] for name in sorted(rows)], dtype=np.uint8)
+        codes.setflags(write=False)
+        records = tuple((name, seq.upper()) for name, seq in given)
         object.__setattr__(self, "records", records)
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
     def from_text(cls, text: str) -> "AlignedFasta":
@@ -97,14 +97,6 @@ def _site_counts(codes: np.ndarray, plain: np.ndarray, i: int):
     return np.count_nonzero(usable, axis=1), np.count_nonzero(differ, axis=1)
 
 
-def _encode(seqs: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(records x sites) ASCII codes of equal-length sequences, and the
-    mask of their plain-base cells."""
-    codes = np.frombuffer("".join(seqs).encode("ascii"), dtype=np.uint8)
-    codes = codes.reshape(len(seqs), -1)
-    return codes, _PLAIN[codes]
-
-
 def pairwise_site_differences(
     alignment: AlignedFasta, taxon1: str, taxon2: str
 ) -> tuple[int, int]:
@@ -113,14 +105,12 @@ def pairwise_site_differences(
     A column is usable when both characters are plain bases; gap and N
     columns are dropped for this pair only.
     """
+    row = {taxon: i for i, taxon in enumerate(alignment.taxa)}
     try:
-        s1 = alignment.sequence(taxon1)
-        s2 = alignment.sequence(taxon2)
+        codes = alignment.codes[[row[taxon1], row[taxon2]]]
     except KeyError as exc:
-        raise ValueError(str(exc)) from None
-    if len(s1) != len(s2):
-        raise ValueError("records have different lengths")
-    usable, differing = _site_counts(*_encode([s1, s2]), 0)
+        raise ValueError(f"no record named {exc.args[0]!r}") from None
+    usable, differing = _site_counts(codes, codes < 4, 0)
     return int(usable[0]), int(differing[0])
 
 
@@ -248,9 +238,8 @@ def distances_from_alignment(alignment: AlignedFasta):
     """Pairwise corrected distances for all taxon pairs, in sorted
     order.  A pair with no finite estimate (saturated, or with no site
     where both hold a plain base) is reported by name."""
-    taxa = alignment.taxa
-    seqs = dict(alignment.records)
-    codes, plain = _encode([seqs[t] for t in taxa])
+    taxa, codes = alignment.taxa, alignment.codes
+    plain = codes < 4
     pairwise = []
     for i, a in enumerate(taxa):
         usable, differing = _site_counts(codes, plain, i)

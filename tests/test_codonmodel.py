@@ -95,6 +95,26 @@ def test_counts_random_sequence_recount():
         assert counts.counts[idx] == n
 
 
+def _loop_codon_counts(dna: str) -> np.ndarray:
+    """The per-codon counting loop the table and bincount replaced."""
+    index = {c: i for i, c in enumerate("ACGT")}
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    seq = dna.upper()
+    for start in range(0, len(seq), 3):
+        i, j, k = (index[c] for c in seq[start:start + 3])
+        table[i, j, k] += 1
+    return table
+
+
+def test_counts_equal_the_per_codon_loop_in_mixed_case():
+    g = rng(1602)
+    for length in range(0, 301, 3):
+        seq = "".join(g.choice(list("ACGTacgt"), size=length))
+        counts = codon_counts_from_sequence(seq).counts
+        assert counts.dtype == np.int64
+        assert counts.tolist() == _loop_codon_counts(seq).tolist(), seq
+
+
 # ---------------------------------------------------------------------------
 # the closed-form MLE
 

@@ -856,3 +856,125 @@ def test_cli_hmm_reads_every_observation_through_one_alphabet(tmp_path, capsys):
     assert main(argv + ["--alphabet", "0123456789ab"]) == 0
     row = json.loads(capsys.readouterr().out)[0]
     assert row["probability"] == pytest.approx(12.0**-3)
+
+
+def _ascii_plain_site_counts(seqs):
+    """(usable, differing) for every row pair i < j, counted as before the
+    shared nucleotide table: uppercased ASCII codes and a plain-base mask."""
+    import numpy as np
+
+    is_plain = np.zeros(256, dtype=bool)
+    is_plain[np.frombuffer(b"ACGT", dtype=np.uint8)] = True
+    codes = np.frombuffer("".join(s.upper() for s in seqs).encode("ascii"), dtype=np.uint8)
+    codes = codes.reshape(len(seqs), -1)
+    plain = is_plain[codes]
+    counts = {}
+    for i, j in itertools.combinations(range(len(seqs)), 2):
+        usable = plain[i] & plain[j]
+        counts[i, j] = (int(usable.sum()), int((usable & (codes[i] != codes[j])).sum()))
+    return counts
+
+
+def test_distances_with_lowercase_n_and_gaps_equal_the_ascii_count():
+    import numpy as np
+
+    from conftest import random_tree, rng
+
+    for seed, (taxa, sites) in enumerate([(3, 40), (6, 300), (11, 900)]):
+        g = rng(1603 + seed)
+        seqs = simulate_leaf_sequences(random_tree(1603 + seed, taxa, 0.01, 0.2), sites, seed)
+        records = []
+        for name in g.permutation(sorted(seqs)):
+            row = np.array(list(seqs[name]))
+            u = g.random(sites)
+            row[u < 0.1] = "N"
+            row[(u >= 0.1) & (u < 0.15)] = "n"
+            row[(u >= 0.15) & (u < 0.25)] = "-"
+            lower = g.random(sites) < 0.4
+            row[lower] = np.char.lower(row[lower])
+            records.append((str(name), "".join(row)))
+        aln = AlignedFasta(records=tuple(records))
+        given = dict(records)
+        want = _ascii_plain_site_counts([given[t] for t in aln.taxa])
+        pairwise, _ = distances_from_alignment(aln)
+        assert [(p.sites, p.differences) for p in pairwise] == list(want.values())
+        for (i, j), counts in want.items():
+            a, b = aln.taxa[i], aln.taxa[j]
+            assert pairwise_site_differences(aln, a, b) == counts
+            assert pairwise_site_differences(aln, b, a) == counts
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 products overflow
+def test_cli_writes_non_finite_floats_as_null(tmp_path, capsys):
+    def strict(text):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        return json.loads(text, parse_constant=refuse)
+
+    params = tmp_path / "hmm.json"
+    params.write_text(json.dumps({"S": [[1.0]], "T": [[1.0, 0.0]], "init": [1.0]}))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("01\n")
+    assert main(["hmm", "forward", "--params", str(params), "--observations", str(obs)]) == 0
+    rows = strict(capsys.readouterr().out)
+    assert rows == [{"observation": "01", "probability": 0.0, "logProbability": None}]
+
+    pair = tmp_path / "pair.json"
+    huge = {"S": [[1e200] * 3] * 3, "tM": [[1e200] * 4] * 4, "tI": [1e200] * 4, "tD": [1e200] * 4}
+    pair.write_text(json.dumps(huge))
+    argv = ["align", "prob", "--params", str(pair), "--seq1", "ACGT", "--seq2", "ACGT"]
+    assert main(argv) == 0
+    assert strict(capsys.readouterr().out) == {"probability": None, "logProbability": None}
+
+    only_match = {"S": [[1, 0, 0]] * 3, "tM": [[1] * 4] * 4, "tI": [1] * 4, "tD": [1] * 4}
+    pair.write_text(json.dumps(only_match))
+    argv = ["align", "viterbi", "--params", str(pair), "--seq1", "ACGT", "--seq2", "AC"]
+    assert main(argv) == 0
+    first_line = capsys.readouterr().out.splitlines()[0]
+    assert strict(first_line)["logScore"] is None
+
+
+@pytest.mark.parametrize(
+    "data, missing",
+    [
+        ({"T": [[1.0]]}, "'S'"),
+        ({"S": [[1.0]], "init": [1.0]}, "'T'"),
+    ],
+)
+def test_hmm_parameter_reader_names_the_missing_field(tmp_path, capsys, data, missing):
+    from phylokit.hmm import HmmParams
+
+    message = f"HMM parameters need S and T: missing {missing}"
+    with pytest.raises(ValueError) as info:
+        HmmParams.from_dict(data)
+    assert str(info.value) == message
+    params = tmp_path / "hmm.json"
+    params.write_text(json.dumps(data))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("0\n")
+    argv = ["hmm", "forward", "--params", str(params), "--observations", str(obs)]
+    _exit_2_without_output(argv, capsys, message)
+
+
+@pytest.mark.parametrize("missing", ["S", "tM", "tI", "tD"])
+def test_pair_parameter_reader_names_the_missing_field(tmp_path, capsys, missing):
+    from phylokit.pairhmm import PairHmmParams
+
+    data = {"S": [[1] * 3] * 3, "tM": [[1] * 4] * 4, "tI": [1] * 4, "tD": [1] * 4}
+    del data[missing]
+    message = f"pair-HMM parameters need S, tM, tI and tD: missing {missing!r}"
+    with pytest.raises(ValueError) as info:
+        PairHmmParams.from_dict(data)
+    assert str(info.value) == message
+    params = tmp_path / "pair.json"
+    params.write_text(json.dumps(data))
+    argv = ["align", "prob", "--params", str(params), "--seq1", "AC", "--seq2", "A"]
+    _exit_2_without_output(argv, capsys, message)
+
+
+def test_cli_dist_names_the_record_and_position_of_a_bad_letter(tmp_path, capsys):
+    fasta = tmp_path / "bad.fa"
+    fasta.write_text(">a\nACGX\n>b\nACGT\n")
+    message = "record 'a': invalid nucleotide 'X' at position 3"
+    _exit_2_without_output(["dist", "--alignment", str(fasta)], capsys, message)
