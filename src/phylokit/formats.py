@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import string
 from importlib import resources
 
 import numpy as np
@@ -266,9 +267,13 @@ def format_m_dissimilarity(md: MDissimilarityMap) -> str:
 # FASTA
 
 
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+
+
 def read_fasta(text: str) -> list[tuple[str, str]]:
     """(name, sequence) records; names are the first whitespace-separated
-    token after '>'."""
+    token after '>'.  Only ASCII letters are uppercased, so that an error
+    names a character as given."""
     records: list[tuple[str, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -285,7 +290,7 @@ def read_fasta(text: str) -> list[tuple[str, str]]:
             records[-1][1].append(line)
     if not records:
         raise ValueError("no FASTA records found")
-    return [(name, "".join(chunks).upper()) for name, chunks in records]
+    return [(name, "".join(chunks).translate(_ASCII_UPPER)) for name, chunks in records]
 
 
 def write_fasta(records, width: int = 70) -> str:

@@ -384,9 +384,16 @@ def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]
         exps.append(exps[-1] + shift)
         np.ldexp(nodes, -shift, nodes)
 
-    tables = (p.trans, p.emit_match, p.emit_insert, p.emit_delete)
+    # Where a transition-emission product may pass 2**±1000 (parameters near
+    # 1e155 or 1e-155), each emission is scaled by 2**-s per diagonal its
+    # letter advances, s bringing the largest near 1: every term then carries
+    # exactly 2**-s(n + m).  Else s = 0 keeps the sweep bit for bit.
+    emits = (p.emit_match, p.emit_insert, p.emit_delete)
+    top = np.frexp(p.trans.max(axis=0))[1] + np.frexp(list(map(np.max, emits)))[1]
+    s = math.frexp(max(map(np.max, emits)))[1] if np.abs(top).max() > 1000 else 0
+    tables = (p.trans, *(np.ldexp(e, -k * s) for e, k in zip(emits, (2, 1, 1))))
     final = _sweep(tables, *codes, ProbabilitySemiring, step)
-    return float(final.sum()), exps[-1]
+    return float(final.sum()), exps[-1] + s * (len(codes[0]) + len(codes[1]))
 
 
 def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int, base) -> np.ndarray:

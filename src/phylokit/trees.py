@@ -115,26 +115,6 @@ class PhyloTree:
                     stack.append(y)
         return frozenset(found)
 
-    def distances_from(self, node: int) -> dict[int, float]:
-        """Path length from ``node`` to every node connected to it."""
-        dist = {node: 0.0}
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            for y, ln in self._adj[x].items():
-                if y not in dist:
-                    dist[y] = dist[x] + ln
-                    stack.append(y)
-        return dist
-
-    def path_length(self, a: str, b: str) -> float:
-        """Sum of branch lengths on the unique leaf-to-leaf path."""
-        src, dst = self.node_of(a), self.node_of(b)
-        dist = self.distances_from(src)
-        if dst not in dist:
-            raise ValueError(f"leaves {a!r} and {b!r} are not connected")
-        return dist[dst]
-
     def children_from(self, root: int) -> dict[int, list[int]]:
         """Every node's children, keyed in preorder, when the tree hangs from
         ``root``; each list is ordered by the smallest taxon label at or below

@@ -132,15 +132,11 @@ def check_four_point(delta: DissimilarityMap) -> Verdict:
 
 
 def tree_metric(tree: PhyloTree) -> DissimilarityMap:
-    """Pairwise path-length map of a tree, in sorted taxon order."""
-    taxa = tree.taxa
-    n = len(taxa)
-    values = np.zeros((n, n))
-    for i, a in enumerate(taxa):
-        dist = tree.distances_from(tree.node_of(a))
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = dist[tree.node_of(taxa[j])]
-    return DissimilarityMap(taxa=taxa, values=values)
+    """Pairwise path-length map of a tree, in sorted taxon order: each
+    edge adds its length to every pair of taxa it separates."""
+    taxa, sides, lengths = _edge_sides(tree)
+    values = (sides * lengths[:, None]).T @ ~sides
+    return DissimilarityMap(taxa=taxa, values=values + values.T)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +200,40 @@ class SplitSystem:
         return frozenset(self.splits)
 
 
-def _leaves_below(tree: PhyloTree) -> dict[tuple[int, int], frozenset[str]]:
-    """The leaves at or below the child of every parent->child edge of the
-    tree hung from its first node: one backward pass over the preorder."""
-    children = tree.children_from(tree.nodes()[0])
-    below: dict[int, frozenset[str]] = {}
-    for node, kids in reversed(children.items()):
-        own = [tree.label_of(node)] if tree.is_leaf(node) else []
-        below[node] = frozenset(own).union(*(below[c] for c in kids))
-    return {(p, c): below[c] for p, kids in children.items() for c in kids}
+def _edge_sides(tree: PhyloTree) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The sorted taxa, a boolean (edges, taxa) array whose row e marks the
+    taxa beyond edge e of ``tree.edges()`` from the tree's first node, and
+    the edge lengths: one backward pass over the tree hung from that node."""
+    taxa, edges = tree.taxa, tree.edges()
+    children = tree.children_from(tree.nodes()[0]) if tree.num_nodes else {}
+    row = {(u, v): e for e, (u, v, _) in enumerate(edges)}
+    up = {c: row[min(p, c), max(p, c)] for p, kids in children.items() for c in kids}
+    column = {t: i for i, t in enumerate(taxa)}
+    sides = np.zeros((len(edges), len(taxa)), dtype=bool)
+    for node, kids in reversed(children.items()):  # every child before its parent
+        if node in up:  # not the first node
+            if tree.is_leaf(node):
+                sides[up[node], column[tree.label_of(node)]] = True
+            for c in kids:
+                sides[up[node]] |= sides[up[c]]
+    return taxa, sides, np.array([ln for _, _, ln in edges])
 
 
 def splits_of_tree(tree: PhyloTree) -> SplitSystem:
     """Bipartitions induced by deleting each edge, deduplicated (the two
     halves of a subdivided edge induce the same split)."""
-    taxa = frozenset(tree.taxa)
-    if len(taxa) < 2:
+    if len(tree.taxa) < 2:
         raise ValueError("splits need at least two taxa")
-    sides = _leaves_below(tree).values()
-    found = {Split(inside=side, taxa=taxa) for side in sides if side and side != taxa}
+    taxa, sides, _ = _edge_sides(tree)
+    inside = sides[:, :1] == sides  # each row flipped to the side holding taxa[0]
+    inside = inside[~inside.all(axis=1)]
+    # by size, then sorted labels: taxa are the columns in sorted order, so at
+    # one size the label lists ascend exactly as the complements' bits do
+    keys = zip(inside.sum(axis=1).tolist(), map(bytes, np.packbits(~inside, axis=1)))
+    rows = dict(zip(keys, inside))  # one row per distinct split
+    names, everyone = np.array(taxa, dtype=object), frozenset(taxa)
     ordered = tuple(
-        sorted(found, key=lambda s: (len(s.inside), sorted(s.inside)))
+        Split(inside=frozenset(names[rows[key]]), taxa=everyone) for key in sorted(rows)
     )
     return SplitSystem(splits=ordered, is_binary=len(ordered) == 2 * len(taxa) - 3)
 
@@ -362,15 +371,13 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
     sides contain a taxon of the subset.  At m = 2 this is the pairwise
     path-length map.
     """
-    taxa = tree.taxa
+    taxa, sides, lengths = _edge_sides(tree)
     if not 2 <= m <= len(taxa):
         raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
     members = np.array(list(combinations(range(len(taxa)), m)), dtype=np.intp)
     totals = np.zeros(len(members))
-    sides = _leaves_below(tree)
-    for u, v, ln in tree.edges():  # this order fixes the float sums
-        side = sides[(u, v) if (u, v) in sides else (v, u)]
-        hits = np.isin(taxa, list(side))[members].sum(axis=1)
+    for side, ln in zip(sides, lengths.tolist()):  # this order fixes the float sums
+        hits = side[members].sum(axis=1)
         totals[(hits > 0) & (hits < m)] += ln
     values = dict(zip(map(frozenset, combinations(taxa, m)), totals.tolist()))
     return MDissimilarityMap(taxa=taxa, m=m, values=values)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,22 @@ def test_pair_probability_overflows_to_inf_with_a_finite_log():
     value = log_pair_probability(p, s, s)
     # every alignment weighs e^{#M} >= 1, and the all-M word weighs e^400
     assert 400.0 < value <= 400.0 + math.log(delannoy_count(400, 400))
+
+
+@pytest.mark.parametrize("x", [1e155, 1e200, 1e300, 1e-200, 1e-300])
+def test_log_pair_probability_is_finite_at_extreme_parameters(x):
+    # every parameter equals x, so a word of length L weighs x**(2L - 1):
+    # L emissions and L - 1 transitions
+    data = {"S": [[x] * 3] * 3, "tM": [[x] * 4] * 4, "tI": [x] * 4, "tD": [x] * 4}
+    p = PairHmmParams.from_dict(data)
+    logs = [(2 * len(w) - 1) * math.log(x) for w in enumerate_alignments(4, 4)]
+    top = max(logs)
+    want = top + math.log(sum(math.exp(v - top) for v in logs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_pair_probability(p, "ACGT", "ACGT")
+        assert pair_probability(p, "ACGT", "ACGT") == (math.inf if x > 1 else 0.0)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_log_alignment_monomial_is_finite_on_a_long_word():

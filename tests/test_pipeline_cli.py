@@ -4,6 +4,7 @@ and the command-line surface."""
 import itertools
 import json
 import math
+import warnings
 
 import pytest
 
@@ -904,7 +905,6 @@ def test_distances_with_lowercase_n_and_gaps_equal_the_ascii_count():
             assert pairwise_site_differences(aln, b, a) == counts
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 products overflow
 def test_cli_writes_non_finite_floats_as_null(tmp_path, capsys):
     def strict(text):
         def refuse(token):
@@ -924,8 +924,12 @@ def test_cli_writes_non_finite_floats_as_null(tmp_path, capsys):
     huge = {"S": [[1e200] * 3] * 3, "tM": [[1e200] * 4] * 4, "tI": [1e200] * 4, "tD": [1e200] * 4}
     pair.write_text(json.dumps(huge))
     argv = ["align", "prob", "--params", str(pair), "--seq1", "ACGT", "--seq2", "ACGT"]
-    assert main(argv) == 0
-    assert strict(capsys.readouterr().out) == {"probability": None, "logProbability": None}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    payload = strict(capsys.readouterr().out)
+    assert payload["probability"] is None  # above the largest double
+    assert payload["logProbability"] == pytest.approx(6912.003774224187, rel=1e-12)
 
     only_match = {"S": [[1, 0, 0]] * 3, "tM": [[1] * 4] * 4, "tI": [1] * 4, "tD": [1] * 4}
     pair.write_text(json.dumps(only_match))
@@ -978,3 +982,18 @@ def test_cli_dist_names_the_record_and_position_of_a_bad_letter(tmp_path, capsys
     fasta.write_text(">a\nACGX\n>b\nACGT\n")
     message = "record 'a': invalid nucleotide 'X' at position 3"
     _exit_2_without_output(["dist", "--alignment", str(fasta)], capsys, message)
+
+
+@pytest.mark.parametrize("letter", ["é", "ß"])
+def test_sequence_errors_name_a_non_ascii_letter_as_given(tmp_path, capsys, letter):
+    # 'ß'.upper() is 'SS', which would name 'S' and shift later positions
+    message = f"record 'a': invalid nucleotide {letter!r} at position 2"
+    text = f">a\nAC{letter}X\n>b\nACGT\n"
+    with pytest.raises(ValueError) as info:
+        AlignedFasta.from_text(text)
+    assert str(info.value) == message
+    fasta = tmp_path / "bad.fa"
+    fasta.write_text(text)
+    _exit_2_without_output(["dist", "--alignment", str(fasta)], capsys, message)
+    fasta.write_text(f">a\nAT{letter}ATG\n")
+    _exit_2_without_output(["codon", "test", "--fasta", str(fasta)], capsys, message)

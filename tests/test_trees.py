@@ -2,6 +2,7 @@
 rejects graphs that are not trees, and no consumer walks
 ``leaves_beyond`` (kept as the tests' independent oracle)."""
 
+import numpy as np
 import pytest
 
 from phylokit.evolution import (
@@ -20,7 +21,7 @@ from phylokit.treespace import (
     tree_metric,
 )
 
-from conftest import random_tree
+from conftest import caterpillar, random_tree
 
 CONSUMERS = {
     "children_from": lambda t: t.children_from(t.nodes()[0]),
@@ -31,6 +32,7 @@ CONSUMERS = {
     "splits_of_tree": splits_of_tree,
     "m_dissimilarity": lambda t: m_dissimilarity(t, 3),
     "cherries": cherries,
+    "tree_metric": tree_metric,
 }
 
 
@@ -114,3 +116,53 @@ def test_add_edge_rejects_non_finite_lengths():
             tree.add_edge(hub, tree.add_node(), bad)
     tree.add_edge(hub, leaf := tree.add_node(), -0.0)
     assert str(tree.edge_length(hub, leaf)) == "0.0"
+
+
+def _per_leaf_metric(tree: PhyloTree) -> np.ndarray:
+    """Path lengths between the sorted taxa, by one walk from each leaf."""
+    taxa = tree.taxa
+    values = np.zeros((len(taxa), len(taxa)))
+    for i, a in enumerate(taxa):
+        dist = {tree.node_of(a): 0.0}
+        stack = [tree.node_of(a)]
+        while stack:
+            x = stack.pop()
+            for y, length in tree.neighbors(x).items():
+                if y not in dist:
+                    dist[y] = dist[x] + length
+                    stack.append(y)
+        values[i] = [dist[tree.node_of(b)] for b in taxa]
+    return values
+
+
+def test_tree_metric_matches_the_per_leaf_walks():
+    trees = [random_tree(400 + seed, 3 + seed * 5) for seed in range(6)]
+    for tree in trees[:3]:  # subdivided edges: degree-2 nodes
+        for u, v, length in tree.edges()[::2]:
+            tree.split_edge(u, v, length / 3)
+    leaf_first = PhyloTree()  # nodes()[0] is a leaf
+    first, hub = leaf_first.add_node(label="m"), leaf_first.add_node()
+    leaf_first.add_edge(first, hub, 0.4)
+    for name, length in (("b", 0.1), ("z", 0.2), ("a", 0.3)):
+        leaf_first.add_edge(hub, leaf_first.add_node(label=name), length)
+    trees += [leaf_first, caterpillar(40, 410), parse_newick("(a:1,b:2);")]
+    for tree in trees:
+        got = tree_metric(tree)
+        want = _per_leaf_metric(tree)
+        assert got.taxa == tree.taxa
+        assert np.array_equal(got.values, got.values.T)
+        assert np.all(np.diag(got.values) == 0.0)
+        assert np.allclose(got.values, want, rtol=1e-12, atol=0.0)
+
+
+def test_tree_metric_of_an_empty_and_a_one_leaf_tree():
+    empty = tree_metric(PhyloTree())
+    assert empty.taxa == () and empty.values.shape == (0, 0)
+    single = PhyloTree()
+    single.add_node(label="a")
+    one = tree_metric(single)
+    assert one.taxa == ("a",) and one.values.tolist() == [[0.0]]
+    with pytest.raises(ValueError, match="splits need at least two taxa"):
+        splits_of_tree(PhyloTree())
+    with pytest.raises(ValueError, match="splits need at least two taxa"):
+        splits_of_tree(single)
