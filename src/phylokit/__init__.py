@@ -25,6 +25,7 @@ from .evolution import (
     claw_fourier_invariant,
     edge_params_from_length,
     jc_distance,
+    log_pattern_probability,
     pattern_probability,
     simulate_leaf_sequences,
     substitution_matrix,

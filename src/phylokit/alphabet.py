@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 NUCLEOTIDES = "ACGT"
+#: ``str.translate`` table for a-z only; ``str.upper`` maps "ß" to "SS"
+ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
 
 
 def _table(letters: str) -> bytes:

@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .alphabet import NUCLEOTIDES, encode
+from .semirings import LogSemiring
 from .trees import PhyloTree
 
 
@@ -181,12 +182,13 @@ def _pruning_root(tree: PhyloTree) -> int:
     return tree.node_of(min(tree.taxa))
 
 
-def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
-    """Probability of observing ``pattern`` (taxon -> nucleotide) at the
-    leaves, with a uniform root distribution.
+def log_pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
+    """log of the probability of observing ``pattern`` (taxon -> nucleotide)
+    at the leaves, with a uniform root distribution.
 
-    Computed by leaf-to-root elimination; reversibility of the symmetric
-    model makes the value independent of which node plays the root.
+    Computed by leaf-to-root elimination on log messages, which do not
+    underflow; reversibility of the symmetric model makes the value
+    independent of which node plays the root.
     """
     taxa = tree.taxa
     if not taxa:
@@ -197,7 +199,8 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
     # a leaf (which may serve as the root) starts from its observed-letter
     # indicator, any other node from ones, which sums an unlabeled leaf out;
     # walked backwards, the preorder reaches every child before its parent
-    onehot, ones = np.eye(4), np.ones(4)
+    sr = LogSemiring
+    onehot, ones = np.where(np.eye(4, dtype=bool), sr.one, sr.zero), np.full(4, sr.one)
     below = {}
     for t in taxa:
         try:
@@ -206,11 +209,21 @@ def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
             raise ValueError(f"invalid nucleotide {pattern[t]!r} for leaf {t!r}") from None
         below[tree.node_of(t)] = onehot[code]
     root = _pruning_root(tree)
-    for parent, kids in reversed(tree.children_from(root).items()):
-        for child in reversed(kids):
-            p = edge_params_from_length(tree.edge_length(parent, child)).matrix()
-            below[parent] = below.get(parent, 1.0) * (p @ below.pop(child, ones))
-    return float(np.full(4, 0.25) @ below[root])
+    with np.errstate(divide="ignore"):  # log pi is -inf at b = 0
+        for parent, kids in reversed(tree.children_from(root).items()):
+            for child in reversed(kids):
+                # JC edge: (theta - pi) v + pi sum(v), theta - pi = e^s
+                s = -4.0 * tree.edge_length(parent, child) / 3.0
+                log_pi = np.log(-math.expm1(s) / 4.0)
+                v = below.pop(child, ones)
+                step = sr.add(sr.mul(s, v), sr.mul(log_pi, sr.add.reduce(v)))
+                below[parent] = sr.mul(below.get(parent, sr.one), step)
+    return float(sr.add.reduce(sr.mul(math.log(0.25), below[root])))
+
+
+def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
+    """exp of :func:`log_pattern_probability`; may underflow to 0.0."""
+    return math.exp(log_pattern_probability(tree, pattern))
 
 
 def all_same_probability(tree: PhyloTree) -> tuple[float, float]:

@@ -8,11 +8,11 @@ from __future__ import annotations
 import json
 import math
 import re
-import string
 from importlib import resources
 
 import numpy as np
 
+from .alphabet import ASCII_UPPER
 from .hmm import HmmParams
 from .pairhmm import PairHmmParams
 from .trees import PhyloTree
@@ -267,9 +267,6 @@ def format_m_dissimilarity(md: MDissimilarityMap) -> str:
 # FASTA
 
 
-_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
-
-
 def read_fasta(text: str) -> list[tuple[str, str]]:
     """(name, sequence) records; names are the first whitespace-separated
     token after '>'.  Only ASCII letters are uppercased, so that an error
@@ -290,7 +287,7 @@ def read_fasta(text: str) -> list[tuple[str, str]]:
             records[-1][1].append(line)
     if not records:
         raise ValueError("no FASTA records found")
-    return [(name, "".join(chunks).translate(_ASCII_UPPER)) for name, chunks in records]
+    return [(name, "".join(chunks).translate(ASCII_UPPER)) for name, chunks in records]
 
 
 def write_fasta(records, width: int = 70) -> str:

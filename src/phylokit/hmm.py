@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semirings import ChainSpec, evaluate_chain
+from .semirings import ChainSpec, LogSemiring, MaxPlusSemiring, evaluate_chain
 
 MODES = ("stochastic", "unit-initial")
 
@@ -165,15 +165,20 @@ def _check_observation(h: HmmParams, obs) -> np.ndarray:
     return arr
 
 
+def _log_chain(h: HmmParams, sigma: np.ndarray) -> ChainSpec:
+    """Log weights of the chain of hidden paths behind ``sigma``."""
+    with np.errstate(divide="ignore"):
+        log_trans, log_emit, log_init = map(np.log, (h.trans, h.emit, h.init))
+    initial = tuple(log_init + log_emit[:, sigma[0]])
+    steps = log_trans[None] + log_emit[:, sigma[1:]].T[:, None, :]
+    return ChainSpec(initial=initial, steps=steps, labels=h.labels)
+
+
 def log_forward(h: HmmParams, obs) -> float:
-    """log of the total probability of the observation, summed over all
-    k^n hidden paths.  Rescales at every position, so it is safe far
-    below double-precision underflow."""
+    """log of the total probability of the observation over all k^n hidden
+    paths, folded in log weights, so it is safe far below underflow."""
     sigma = _check_observation(h, obs)
-    _, scales = _forward(h, h.emit.T[sigma], [1] * len(sigma))
-    if (scales == 0.0).any():
-        return float("-inf")
-    return float(np.log(scales).sum())
+    return evaluate_chain(_log_chain(h, sigma), LogSemiring).value
 
 
 def forward_probability(h: HmmParams, obs) -> float:
@@ -186,22 +191,15 @@ def viterbi_explanation(h: HmmParams, obs) -> Explanation:
     """Best hidden path: the arg-max of the log path term, ties broken
     by the alphabetically smallest state-label sequence."""
     sigma = _check_observation(h, obs)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(h.trans)
-        log_emit = np.log(h.emit)
-        log_init = np.log(h.init)
-    initial = tuple(log_init + log_emit[:, sigma[0]])
-    steps = log_trans[None] + log_emit[:, sigma[1:]].T[:, None, :]
-    result = evaluate_chain(
-        ChainSpec(initial=initial, steps=steps, labels=h.labels), "max-plus"
-    )
+    result = evaluate_chain(_log_chain(h, sigma), MaxPlusSemiring)
     if result.value == float("-inf"):
         raise ValueError("every hidden path has zero probability")
     return Explanation(states=result.path, log_score=float(result.value))
 
 
 def _forward(h: HmmParams, factors: np.ndarray, counts: list[int]):
-    """Scaled forward recursion over a packed batch of observations.
+    """Scaled forward recursion over a packed batch of observations, for
+    Baum-Welch alone, which needs the per-position tables.
 
     The batch is sorted longest first and stored position-major:
     position t holds ``counts[t]`` rows, one per sequence still running,

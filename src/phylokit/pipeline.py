@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import encode
-from .evolution import SaturationError, all_same_probability, jc_distance
+from .alphabet import ASCII_UPPER, encode
+from .evolution import SaturationError, jc_distance, log_pattern_probability
 from .formats import emit_newick, parse_distance_matrix, read_fasta
 from .treespace import DissimilarityMap, neighbor_join
 
@@ -64,7 +64,7 @@ class AlignedFasta:
                 raise ValueError(f"record {name!r}: {exc}") from None
         codes = np.array([rows[name] for name in sorted(rows)], dtype=np.uint8)
         codes.setflags(write=False)
-        records = tuple((name, seq.upper()) for name, seq in given)
+        records = tuple((name, seq.translate(ASCII_UPPER)) for name, seq in given)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "codes", codes)
 
@@ -119,8 +119,8 @@ def find_motif(sequence: str, motif: str) -> list[int]:
     occurrence of ``motif``."""
     if not motif:
         raise ValueError("motif is empty")
-    seq = sequence.upper()
-    motif = motif.upper()
+    seq = sequence.translate(ASCII_UPPER)
+    motif = motif.translate(ASCII_UPPER)
     hits = []
     pos = seq.find(motif)
     while pos != -1:
@@ -265,9 +265,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Distances -> neighbor-joining tree -> per-edge parameters ->
     conservation probabilities, all deterministic.
 
-    The tree is reported unrooted.  Probabilities are tracked in log10
-    alongside the linear values; the motif-length power uses the motif
-    given in the config (default length 42).
+    The tree is reported unrooted.  The log10 fields come from log pSame,
+    finite where the linear values underflow; the motif-length power uses
+    the motif given in the config (default length 42).
     """
     alignment = None
     if config.alignment is not None:
@@ -290,12 +290,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     tree = neighbor_join(dm)
     newick = emit_newick(tree)
-    p_same, p_any = all_same_probability(tree)
+    log_same = log_pattern_probability(tree, dict.fromkeys(tree.taxa, "A"))
+    p_same = math.exp(log_same)
+    p_any = 4.0 * p_same
 
-    motif = config.motif.upper() if config.motif else None
+    motif = config.motif.translate(ASCII_UPPER) if config.motif else None
     motif_length = len(motif) if motif else len(CONSERVED_ELEMENT_42)
     p_motif = p_any**motif_length
-    log10_p_motif = motif_length * math.log10(p_any)
+    log10_p_motif = motif_length * (log_same + math.log(4.0)) / math.log(10.0)
     genome_scale = config.genome_length * p_motif
     log10_genome_scale = math.log10(config.genome_length) + log10_p_motif
 

@@ -1,11 +1,11 @@
 """Computation semirings and the generic chain dynamic-programming evaluator.
 
-Three semirings drive one shared fold: ordinary probability arithmetic,
-max-plus (tropical) arithmetic, and lattice polygons under (convex hull
-of union, Minkowski sum).  Summing a product of step weights over all
-state paths of a chain is the same algorithm in each case; only the
-(add, mul) pair of ufuncs changes.  Under max-plus the chain fold also
-recovers the arg-max path from integer backpointers.
+Four semirings drive one shared fold: probability arithmetic, its log
+(log-sum-exp, +), max-plus (tropical) arithmetic, and lattice polygons
+under (convex hull of union, Minkowski sum).  Summing a product of step
+weights over all state paths of a chain is the same algorithm in each
+case; only the (add, mul) pair of ufuncs changes.  Under max-plus the
+chain fold also recovers the arg-max path from integer backpointers.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class Semiring:
 
 #: non-negative reals under (+, *)
 ProbabilitySemiring = Semiring(0.0, 1.0, np.add, np.multiply)
+#: log-probabilities R u {-inf} under (log-sum-exp, +): no underflow
+LogSemiring = Semiring(NEG_INF, 0.0, np.logaddexp, np.add)
 #: R u {-inf} under (max, +)
 MaxPlusSemiring = Semiring(NEG_INF, 0.0, np.maximum, np.add)
 #: lattice polygons under (hull of union, Minkowski sum), on object arrays

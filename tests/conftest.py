@@ -60,20 +60,20 @@ def random_tree(seed: int, n: int, min_length=0.05, max_length=1.0):
     return random_binary_tree(taxa, rng(seed), min_length, max_length)
 
 
-def caterpillar(n: int, seed: int) -> PhyloTree:
+def caterpillar(n: int, seed: int, lengths=(0.001, 0.01)) -> PhyloTree:
     """Caterpillar on n leaves c00000, c00001, ...: a path of n - 2
     internal nodes, built first so that node 0 is one end of it, with
     the first two leaves on that end, the last two on the other and one
-    leaf on each node between.  Branch lengths are drawn from [0.001,
-    0.01]."""
+    leaf on each node between.  Branch lengths are drawn uniformly from
+    ``lengths``, by default [0.001, 0.01]."""
     g = rng(seed)
     tree = PhyloTree()
     spine = [tree.add_node() for _ in range(n - 2)]
     for a, b in zip(spine, spine[1:]):
-        tree.add_edge(a, b, float(g.uniform(0.001, 0.01)))
+        tree.add_edge(a, b, float(g.uniform(*lengths)))
     hosts = [spine[0]] + spine + [spine[-1]]
     for i, host in enumerate(hosts):
-        tree.add_edge(host, tree.add_node(label=f"c{i:05d}"), float(g.uniform(0.001, 0.01)))
+        tree.add_edge(host, tree.add_node(label=f"c{i:05d}"), float(g.uniform(*lengths)))
     return tree
 
 @pytest.fixture

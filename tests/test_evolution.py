@@ -4,6 +4,7 @@ Fourier invariant, distance correction values, and simulation."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from phylokit.evolution import (
     is_stochastic,
     jc_distance,
     jc_rate_matrix,
+    log_pattern_probability,
     matrix_exponential,
     pattern_probability,
     simulate_leaf_sequences,
@@ -324,6 +326,8 @@ def test_pattern_probability_matches_breadth_first_pruning():
         expected = _breadth_first_pruning(tree, pattern)
         assert expected > 0.0
         assert pattern_probability(tree, pattern) == pytest.approx(expected, rel=1e-12)
+        log_p = log_pattern_probability(tree, pattern)
+        assert log_p == pytest.approx(math.log(expected), rel=1e-12)
 
 
 def test_pattern_probability_missing_leaf_is_an_error():
@@ -358,9 +362,9 @@ def test_all_same_probability_sums_out_an_unlabeled_leaf(position):
     assert all_same_probability(hub_tree(position)) == pytest.approx(want, rel=1e-12)
 
 
-def test_all_same_probability_on_a_deep_caterpillar_matches_the_spine():
-    n = 10_000
-    tree = caterpillar(n, 3200)
+def _log_spine(tree, n):
+    """log of the probability that every leaf of the caterpillar reads A,
+    by a two-scalar loop along the spine, rescaled at every step."""
 
     def edge(u, v):
         pi = 0.25 * (1.0 - math.exp(-4.0 * tree.edge_length(u, v) / 3.0))
@@ -372,19 +376,54 @@ def test_all_same_probability_on_a_deep_caterpillar_matches_the_spine():
         return edge(node, next(iter(tree.neighbors(node))))
 
     # x, y: probability that every leaf so far reads A, given that the
-    # current spine node holds A, or a given other letter
+    # current spine node holds A, or a given other letter, over exp(log_scale)
     spine = list(range(n - 2))
     (t0, p0), (t1, p1) = leaf(0), leaf(1)
-    x, y = t0 * t1, p0 * p1
+    x, y, log_scale = t0 * t1, p0 * p1, 0.0
     for k, (u, v) in enumerate(zip(spine, spine[1:])):
         theta, pi = edge(u, v)
         x, y = theta * x + 3.0 * pi * y, pi * x + (theta + 2.0 * pi) * y
         for i in [k + 2] + ([n - 1] if v == spine[-1] else []):
             theta, pi = leaf(i)
             x, y = x * theta, y * pi
+        scale = max(x, y)
+        x, y, log_scale = x / scale, y / scale, log_scale + math.log(scale)
+    return log_scale + math.log(0.25 * (x + 3.0 * y))
+
+
+def test_all_same_probability_on_a_deep_caterpillar_matches_the_spine():
+    n = 10_000
+    tree = caterpillar(n, 3200)
+    want = _log_spine(tree, n)
     p_single, p_any = all_same_probability(tree)
-    assert p_single == pytest.approx(0.25 * (x + 3.0 * y), rel=1e-9)
+    assert p_single == pytest.approx(math.exp(want), rel=1e-9)
     assert p_any == 4.0 * p_single
+    # ten times longer branches: the probability underflows, its log does not
+    tree = caterpillar(n, 3200, lengths=(0.01, 0.1))
+    want = _log_spine(tree, n)
+    assert want < math.log(5e-324)
+    all_a = dict.fromkeys(tree.taxa, "A")
+    assert log_pattern_probability(tree, all_a) == pytest.approx(want, rel=1e-12)
+    assert all_same_probability(tree) == (0.0, 0.0)
+
+
+def test_zero_length_edges_raise_no_warning():
+    zero = random_tree(91, 12, min_length=0.0, max_length=0.0)
+    assert {length for _, _, length in zero.edges()} == {0.0}
+    claw = _claw_tree(0.0, 0.3, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_same_probability(zero) == (0.25, 1.0)
+        all_c = dict.fromkeys(zero.taxa, "C")
+        assert log_pattern_probability(zero, all_c) == math.log(0.25)
+        mixed = dict.fromkeys(zero.taxa, "A") | {zero.taxa[0]: "G"}
+        assert log_pattern_probability(zero, mixed) == float("-inf")
+        assert pattern_probability(zero, mixed) == 0.0
+        acg = {"x": "A", "y": "C", "z": "G"}
+        assert log_pattern_probability(claw, acg) == float("-inf")
+        want = pattern_probability(claw, {"x": "A", "y": "C", "z": "A"})
+    assert want == pytest.approx(0.25 * edge_params_from_length(0.3).pi, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # the three-leaf Fourier invariant

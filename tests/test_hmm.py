@@ -10,6 +10,7 @@ import pytest
 
 from phylokit.hmm import (
     HmmParams,
+    _forward,
     baum_welch_train,
     forward_probability,
     log_forward,
@@ -148,6 +149,39 @@ def test_log_forward_handles_deep_underflow():
     obs = [0] * 4000
     assert log_forward(h, obs) == pytest.approx(4000 * math.log(0.25), rel=1e-12)
     assert forward_probability(h, obs) == 0.0  # underflows as a plain float
+
+
+def _packed_log_forward(h: HmmParams, obs) -> float:
+    # Baum-Welch's scaled forward on a batch of one: the logs of the
+    # per-position scales sum to the log-likelihood
+    _, scales = _forward(h, h.emit.T[np.asarray(obs)], [1] * len(obs))
+    return float("-inf") if (scales == 0.0).any() else float(np.log(scales).sum())
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_log_forward_folds_the_likelihood_of_the_packed_forward(k):
+    g = rng(60 + k)
+    h = _random_params(g, k, 4)
+    # zeros in every table: some paths vanish, and symbol 3 has
+    # probability zero in every state
+    trans, emit = h.trans * (g.random((k, k)) < 0.7), h.emit * (g.random((k, 4)) < 0.7)
+    trans[np.arange(k), g.integers(0, k, size=k)] += 0.1
+    emit[:, :3] += 0.1
+    emit[:, 3] = 0.0
+    sparse = HmmParams(
+        trans=trans / trans.sum(axis=1, keepdims=True),
+        emit=emit / emit.sum(axis=1, keepdims=True),
+        init=h.init,
+    )
+    for n in (1, 2, 1000, 4000):
+        for model, symbols in ((h, 4), (sparse, 3)):
+            obs = g.integers(0, symbols, size=n)
+            want = _packed_log_forward(model, obs)
+            assert math.isfinite(want)
+            assert log_forward(model, obs) == pytest.approx(want, rel=1e-12)
+        obs[g.integers(0, n)] = 3
+        assert _packed_log_forward(sparse, obs) == float("-inf")
+        assert log_forward(sparse, obs) == float("-inf")
 
 
 # ---------------------------------------------------------------------------

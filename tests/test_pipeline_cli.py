@@ -11,6 +11,7 @@ import pytest
 from phylokit.cli import main
 from phylokit.formats import (
     bundled_reference_tree,
+    format_distance_matrix,
     format_m_dissimilarity,
     read_bundled,
     read_fasta,
@@ -25,10 +26,25 @@ from phylokit.pipeline import (
     pairwise_site_differences,
     run_pipeline,
 )
-from phylokit.treespace import DissimilarityMap, m_dissimilarity, splits_of_tree
+from phylokit.treespace import (
+    DissimilarityMap,
+    m_dissimilarity,
+    random_binary_tree,
+    splits_of_tree,
+    tree_metric,
+)
 from phylokit.evolution import simulate_leaf_sequences
 from phylokit.treespace import neighbor_join
 from phylokit.formats import parse_distance_matrix, parse_newick
+
+from conftest import rng
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _table3_path():
@@ -99,6 +115,27 @@ def test_motif_absent():
 
 def test_motif_overlapping_hits():
     assert find_motif("AAAA", "AA") == [0, 1, 2]
+
+
+def test_motif_search_uppercases_ascii_letters_only():
+    # 'ﬁ'.upper() is 'FI', which would shift every later position
+    assert find_motif("ACGﬁACG", "acg") == [0, 4]
+
+
+def test_cli_motif_find_counts_a_non_ascii_letter_as_one_position(tmp_path, capsys):
+    # 'ß'.upper() is 'SS'
+    fasta = tmp_path / "sharp.fa"
+    fasta.write_text(">a\nßACG\n")
+    assert main(["motif", "find", "--fasta", str(fasta), "--motif", "ACG"]) == 0
+    hits = json.loads(capsys.readouterr().out)["hits"]
+    assert hits == [{"taxon": "a", "positions": [1]}]
+
+
+def test_pipeline_reports_a_non_ascii_motif_as_given():
+    config = PipelineConfig(distances=read_bundled("vertebrates10.phy"), motif="acgß")
+    report = run_pipeline(config)
+    assert (report.motif, report.motif_length) == ("ACGß", 4)
+    assert report.p_motif == report.p_any**4
 
 
 def test_motif_empty_is_an_error():
@@ -905,13 +942,24 @@ def test_distances_with_lowercase_n_and_gaps_equal_the_ascii_count():
             assert pairwise_site_differences(aln, b, a) == counts
 
 
+def test_cli_pipeline_reports_finite_logs_where_p_same_underflows(tmp_path, capsys):
+    # a valid 700-taxon tree metric with lengths 1-3: pSame is far below
+    # the smallest double
+    taxa = [f"t{i:03d}" for i in range(700)]
+    tree = random_binary_tree(taxa, rng(700), 1.0, 3.0)
+    path = tmp_path / "m700.phy"
+    path.write_text(format_distance_matrix(tree_metric(tree)))
+    assert main(["pipeline", "--distances", str(path)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["pSame"] == report["p42"] == report["genomeScale"] == 0.0
+    assert math.isfinite(report["log10P42"]) and report["log10P42"] < -1000
+    assert report["log10GenomeScale"] == pytest.approx(
+        report["log10P42"] + math.log10(report["genomeLength"]), rel=1e-12
+    )
+
+
 def test_cli_writes_non_finite_floats_as_null(tmp_path, capsys):
-    def strict(text):
-        def refuse(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        return json.loads(text, parse_constant=refuse)
-
+    strict = _strict_json
     params = tmp_path / "hmm.json"
     params.write_text(json.dumps({"S": [[1.0]], "T": [[1.0, 0.0]], "init": [1.0]}))
     obs = tmp_path / "obs.txt"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from phylokit.semirings import (
     ChainSpec,
     LatticePolygon,
+    LogSemiring,
     MaxPlusSemiring,
     PolygonSemiring,
     ProbabilitySemiring,
@@ -404,10 +405,13 @@ _RECORDS = (
     (ProbabilitySemiring, operator.add, operator.mul, _random_floats),
     (MaxPlusSemiring, max, operator.add, _random_tropicals),
     (PolygonSemiring, polygon_sum, polygon_product, _random_polygons),
+    (LogSemiring, lambda x, y: float(np.logaddexp(x, y)), operator.add, _random_tropicals),
 )
 
 
-@pytest.mark.parametrize("sr, add, mul, draw", _RECORDS, ids=("prob", "max-plus", "polygon"))
+@pytest.mark.parametrize(
+    "sr, add, mul, draw", _RECORDS, ids=("prob", "max-plus", "polygon", "log")
+)
 def test_semiring_ufuncs_act_elementwise_and_fold_left_to_right(sr, add, mul, draw):
     g = rng(31)
     for _ in range(40):
