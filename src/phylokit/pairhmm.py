@@ -438,7 +438,8 @@ def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int, base) -> np
 # only the previous layer's box and entries that no layer has written.
 # The M step of layer l is a plain slice of the flipped step table.
 #
-# Witnesses use prefix ranks, as semirings._argmax_chain does.  All words
+# Witnesses use packed prefix keys, as semirings._argmax_chain does
+# (there a complex number, weight real, here one int64).  All words
 # that reach a layer have the same length, so a node's lexicographically
 # smallest extreme word is the smallest (predecessor's word, letter) over
 # the predecessors that reach the node's extreme, with D < I < M.  Each

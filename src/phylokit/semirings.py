@@ -5,7 +5,9 @@ Four semirings drive one shared fold: probability arithmetic, its log
 under (convex hull of union, Minkowski sum).  Summing a product of step
 weights over all state paths of a chain is the same algorithm in each
 case; only the (add, mul) pair of ufuncs changes.  Under max-plus the
-chain fold also recovers the arg-max path from integer backpointers.
+chain fold also recovers the arg-max path from integer backpointers,
+each state's best prefix packed into one complex key (log weight, label
+sequence) that numpy's lexicographic complex order compares at once.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
     position, each sum in state order.  Under max-plus the chain weights
     must be floats (log weights); the result carries the arg-max path
     with exact ties broken by the lexicographically smallest label sequence.
+    A NaN weight, or +inf meeting -inf, lies outside max-plus: the value
+    is then NaN and the path some path through a NaN, with no tie rule.
     """
     sr = resolve_semiring(semiring)
     if sr is MaxPlusSemiring:
@@ -227,29 +231,44 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
 
 
 def _argmax_chain(spec: ChainSpec) -> ChainResult:
-    # Max-plus fold with integer backpointers.  ``order`` lists the states
-    # by the label sequence of their best prefix, smallest first; those
-    # sequences are distinct because they end in distinct labels.  Rows
-    # taken in that order, argmax picks the smallest prefix among tied
-    # predecessors, and the next order sorts by (position of the chosen
-    # prefix, label rank).  Nothing is materialized until the one
-    # traceback at the end.
+    # Max-plus fold with integer backpointers, on packed complex keys.  A
+    # state's best prefix is one complex number: its real part is the log
+    # weight, its imaginary part minus a key that orders the prefixes by
+    # label sequence.  The key's integer part ranks the prefix's first
+    # positions, and each later position adds its label rank as one more
+    # base-2**bits digit, an exact power-of-two multiple, so every key is
+    # exact.  The prefixes are distinct (they end in distinct labels), and
+    # so are their keys.  numpy orders complex numbers lexicographically:
+    # per position one add, one argmax and one max pick each state's best
+    # weight and, among exact ties, the smallest label sequence, and the
+    # real parts are the plain float sums.  After ``period`` digits the
+    # 52-bit key is full, and the keys are replaced by their ranks (one
+    # argsort).  The steps are made complex one block of ``period`` at a
+    # time, each transposed so a state's candidates are one row; nothing
+    # else is materialized until the one traceback at the end.
     k = spec.states
     by_label = sorted(range(k), key=lambda i: spec.labels[i])
-    label_rank = np.empty(k, dtype=np.intp)
+    label_rank = np.empty(k)
     label_rank[by_label] = np.arange(k)
-    order = np.array(by_label)
+    bits = max(1, (k - 1).bit_length())
+    period = 52 // bits - 1
+    digits = np.ldexp(label_rank, -bits * np.arange(1, period + 1)[:, None])
     steps = np.asarray(spec.steps, dtype=float)
     back = np.empty((len(steps), k), dtype=np.intp)
-    scores = np.asarray(spec.initial, dtype=float)
-    for t, w in enumerate(steps):
-        cand = (scores[:, None] + w)[order]
-        pos = cand.argmax(axis=0)
-        scores = cand.max(axis=0)
-        back[t] = order[pos]
-        order = (pos * k + label_rank).argsort()
-    state = int(order[scores[order].argmax()])
-    value = float(scores[state])
+    scores = np.empty(k, dtype=complex)
+    scores.real = spec.initial
+    scores.imag = -label_rank
+    cand = np.empty((k, k), dtype=complex)
+    for start in range(0, len(steps), period):
+        block = steps[start : start + period].transpose(0, 2, 1).astype(complex)
+        block.imag = -digits[: len(block), :, None]
+        for t, w in enumerate(block, start):
+            np.add(scores, w, out=cand)
+            cand.argmax(axis=1, out=back[t])
+            np.maximum.reduce(cand, axis=1, out=scores)
+        scores.imag[scores.imag.argsort()] = np.arange(1 - k, 1)
+    state = int(scores.argmax())
+    value = float(scores.real[state])
     path = [spec.labels[state]]
     for row in reversed(back.tolist()):
         state = row[state]

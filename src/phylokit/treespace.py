@@ -7,6 +7,7 @@ linear relations cutting out tree-derived 3-maps on six taxa.
 from __future__ import annotations
 
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -623,10 +624,17 @@ def random_binary_tree(
 
     tree = PhyloTree()
     hub = tree.add_node()
+    edges = []  # the (u, v) pairs of tree.edges(), sorted; new ids are the largest
     for name in names[:3]:
-        tree.add_edge(tree.add_node(label=name), hub, length())
+        leaf = tree.add_node(label=name)
+        tree.add_edge(leaf, hub, length())
+        edges.append((hub, leaf))
     for name in names[3:]:
-        u, v, _ = tree.edges()[int(rng.integers(len(tree.edges())))]
+        u, v = edges.pop(int(rng.integers(len(edges))))
         mid = tree.split_edge(u, v, tree.edge_length(u, v) / 2.0)
-        tree.add_edge(tree.add_node(label=name), mid, length())
+        leaf = tree.add_node(label=name)
+        tree.add_edge(leaf, mid, length())
+        insort(edges, (u, mid))
+        insort(edges, (v, mid))
+        edges.append((mid, leaf))
     return tree

@@ -212,6 +212,35 @@ def test_viterbi_all_tie_long_observation():
     assert expl.log_score == pytest.approx(n * q + (n - 1) * q + q)
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_viterbi_all_tie_models_at_scale(k):
+    # every path ties; the smallest label wins at each of 4,000 positions,
+    # across the fold's many key re-rankings
+    n = 4_000
+    obs = [i % 3 for i in range(n)]
+    expl = viterbi_explanation(uniform_params(k, 3), obs)
+    assert expl.states == ("0",) * n
+
+
+def test_viterbi_random_model_at_scale_rescores_exactly():
+    g = rng(54)
+    h = _random_params(g, 8, 4)
+    sigma = g.integers(0, 4, size=4_000)
+    expl = viterbi_explanation(h, sigma.tolist())
+    log_trans, log_emit, log_init = map(np.log, (h.trans, h.emit, h.init))
+    # the best value by a max-only fold, with the same float sums
+    scores = log_init + log_emit[:, sigma[0]]
+    for o in sigma[1:]:
+        scores = (scores[:, None] + (log_trans + log_emit[:, o])).max(axis=0)
+    assert expl.log_score == scores.max()
+    idx = {lab: i for i, lab in enumerate(h.labels)}
+    path = [idx[s] for s in expl.states]
+    rescored = log_init[path[0]] + log_emit[path[0], sigma[0]]
+    for t in range(1, len(sigma)):
+        rescored += log_trans[path[t - 1], path[t]] + log_emit[path[t], sigma[t]]
+    assert expl.log_score == rescored
+
+
 def test_viterbi_single_state():
     h = HmmParams(trans=[[1.0]], emit=[[0.25, 0.75]], init=[1.0])
     expl = viterbi_explanation(h, [1, 0, 1])

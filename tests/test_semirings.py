@@ -341,6 +341,57 @@ def test_chain_maxplus_fold_matches_enumeration_on_dense_ties():
         assert got.path == word
 
 
+def _maxplus_by_prefixes(initial, steps, labels):
+    """Max-plus fold carrying (score, label word) per state: each state
+    keeps its best predecessor's word, the smaller word on exact ties."""
+    best = [(s, (lab,)) for s, lab in zip(initial.tolist(), labels)]
+    for w in steps.tolist():
+        nxt = []
+        for j, lab in enumerate(labels):
+            cands = [(s + w[i][j], word) for i, (s, word) in enumerate(best)]
+            top = max(c[0] for c in cands)
+            nxt.append((top, min(word for c, word in cands if c == top) + (lab,)))
+        best = nxt
+    top = max(s for s, _ in best)
+    return top, min(word for s, word in best if s == top)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 17])
+def test_chain_maxplus_fold_keeps_tie_order_across_rerankings(k):
+    # the packed prefix keys are re-ranked every 52 // bits - 1 steps
+    # (bits = max(1, (k - 1).bit_length())): 9 steps at k = 17, 51 at
+    # k <= 2, so chains of up to 200 positions cross that boundary several
+    # times, with dense integer ties, -inf cuts and permuted labels
+    g = rng(28 + k)
+    names = [f"q{i:02d}" for i in range(k)]
+    for n in (2, 51, 52, 53, 120, 200):
+        labels = tuple(names[i] for i in g.permutation(k))
+        initial = g.integers(-1, 1, size=k).astype(float)
+        steps = g.integers(-2, 1, size=(n - 1, k, k)).astype(float)
+        initial[g.random(k) < 0.2] = -math.inf
+        steps[g.random(steps.shape) < 0.2] = -math.inf
+        best, word = _maxplus_by_prefixes(initial, steps, labels)
+        got = evaluate_chain(
+            ChainSpec(initial=tuple(initial), steps=steps, labels=labels),
+            MaxPlusSemiring,
+        )
+        assert (got.value, got.path) == (best, word)
+
+
+def test_chain_maxplus_fold_on_infinite_weights():
+    inf = math.inf
+    # every path is -inf: the smallest label word still wins the tie
+    dead = ChainSpec(initial=(-inf, -inf), steps=np.zeros((1, 2, 2)), labels=("b", "a"))
+    got = evaluate_chain(dead, MaxPlusSemiring)
+    assert (got.value, got.path) == (-inf, ("a", "a"))
+    # +inf meets -inf: the value is NaN
+    spec = ChainSpec(initial=(inf, 0.0), steps=[[[-inf, 0.0], [0.0, 0.0]]])
+    with np.errstate(invalid="ignore"):
+        got = evaluate_chain(spec, MaxPlusSemiring)
+    assert math.isnan(got.value)
+    assert got.path == ("0", "0")
+
+
 def test_chain_array_steps_match_tuple_steps():
     g = rng(27)
     for trial in range(20):
