@@ -348,10 +348,11 @@ def simulate_leaf_sequences(
             states[child] = src
             continue
         u = _stream(seed, index).random(length)
-        mutated = u >= edge.theta
-        offset = np.minimum(((u - edge.theta) / edge.pi).astype(np.int8), 2) + 1
+        # most sites keep their letter: work on the mutated ones only
+        hit = np.flatnonzero(u >= edge.theta)
+        offset = np.minimum(((u[hit] - edge.theta) / edge.pi).astype(np.int8), 2) + 1
         out = src.copy()
-        out[mutated] = (src[mutated] + offset[mutated]) % 4
+        out[hit] = (src[hit] + offset) % 4
         states[child] = out
     letters = np.frombuffer(NUCLEOTIDES.encode("ascii"), dtype=np.uint8)
     return {

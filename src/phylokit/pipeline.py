@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +88,29 @@ class AlignedFasta:
         raise KeyError(f"no record named {taxon!r}")
 
 
-def _site_counts(codes: np.ndarray, plain: np.ndarray, i: int):
-    """(usable, differing) site counts of row ``i`` of an encoded
-    alignment against each later row.  ``plain`` marks the plain-base
-    cells of ``codes``."""
+def _bit_planes(codes: np.ndarray) -> np.ndarray:
+    """An encoded alignment as three (taxa, words) uint64 planes, one bit
+    per site: its plain-base cells (``codes < 4``), then code bits 0 and
+    1.  Padding bits are 0 in the plain plane, so no pair can use them."""
+    taxa, sites = codes.shape
+    planes = np.zeros((3, taxa, -(-sites // 64)), dtype=np.uint64)
+    cells = planes.view(np.uint8)[..., : -(-sites // 8)]
+    # one plane at a time: each bool/uint8 temporary is as large as codes
+    cells[0] = np.packbits(codes < 4, axis=1, bitorder="little")
+    cells[1] = np.packbits(codes & 1, axis=1, bitorder="little")
+    cells[2] = np.packbits(codes & 2, axis=1, bitorder="little")
+    return planes
+
+
+def _site_counts(planes: np.ndarray, i: int):
+    """(usable, differing) site counts of row ``i`` of an alignment's
+    bit planes against each later row.  A site is usable when both cells
+    are plain bases; the code bits of other cells are then masked off."""
+    plain, lo, hi = planes
     usable = plain[i + 1:] & plain[i]
-    differ = codes[i + 1:] != codes[i]
+    differ = (lo[i + 1:] ^ lo[i]) | (hi[i + 1:] ^ hi[i])
     differ &= usable
-    return np.count_nonzero(usable, axis=1), np.count_nonzero(differ, axis=1)
+    return np.bitwise_count(usable).sum(axis=1), np.bitwise_count(differ).sum(axis=1)
 
 
 def pairwise_site_differences(
@@ -110,7 +126,7 @@ def pairwise_site_differences(
         codes = alignment.codes[[row[taxon1], row[taxon2]]]
     except KeyError as exc:
         raise ValueError(f"no record named {exc.args[0]!r}") from None
-    usable, differing = _site_counts(codes, codes < 4, 0)
+    usable, differing = _site_counts(_bit_planes(codes), 0)
     return int(usable[0]), int(differing[0])
 
 
@@ -127,6 +143,20 @@ def find_motif(sequence: str, motif: str) -> list[int]:
         hits.append(pos)
         pos = seq.find(motif, pos + 1)
     return hits
+
+
+#: one ``PairwiseDistance.to_dict()`` as ``json.dumps(report, indent=2)``
+#: writes it; distances are finite, so ``float.__repr__`` is json's form
+_PAIR_ROW = """
+    {{
+      "pair": [
+        {},
+        {}
+      ],
+      "n": {},
+      "k": {},
+      "distance": {}
+    }}"""
 
 
 @dataclass(frozen=True)
@@ -181,9 +211,12 @@ class PipelineReport:
     motif_hits: tuple[tuple[str, int], ...] = field(default=())
 
     def to_dict(self) -> dict:
+        return self._fields([p.to_dict() for p in self.pairwise])
+
+    def _fields(self, pairwise: list) -> dict:
         return {
             "specVersion": REPORT_SPEC_VERSION,
-            "pairwise": [p.to_dict() for p in self.pairwise],
+            "pairwise": pairwise,
             "newick": self.newick,
             "pSame": self.p_same,
             "pAny": self.p_any,
@@ -200,7 +233,23 @@ class PipelineReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, with the pairwise rows
+        written by one template instead of json's pure-Python encoder."""
+        text = json.dumps(self._fields([]), indent=2)
+        if not self.pairwise:
+            return text
+        head, tail = text.split('"pairwise": []', 1)
+        rows = ",".join(
+            _PAIR_ROW.format(
+                _quote(p.taxon_a),
+                _quote(p.taxon_b),
+                "null" if p.sites is None else p.sites,
+                "null" if p.differences is None else p.differences,
+                float.__repr__(p.distance),
+            )
+            for p in self.pairwise
+        )
+        return f'{head}"pairwise": [{rows}\n  ]{tail}'
 
     def to_text(self) -> str:
         lines = [
@@ -238,11 +287,11 @@ def distances_from_alignment(alignment: AlignedFasta):
     """Pairwise corrected distances for all taxon pairs, in sorted
     order.  A pair with no finite estimate (saturated, or with no site
     where both hold a plain base) is reported by name."""
-    taxa, codes = alignment.taxa, alignment.codes
-    plain = codes < 4
+    taxa = alignment.taxa
+    planes = _bit_planes(alignment.codes)
     pairwise = []
     for i, a in enumerate(taxa):
-        usable, differing = _site_counts(codes, plain, i)
+        usable, differing = _site_counts(planes, i)
         for b, n, k in zip(taxa[i + 1:], usable.tolist(), differing.tolist()):
             try:
                 dist = jc_distance(n, k)

@@ -2,6 +2,7 @@
 probabilities against an any-root pruning oracle, the three-leaf
 Fourier invariant, distance correction values, and simulation."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -29,6 +30,7 @@ from phylokit.evolution import (
     simulate_leaf_sequences,
     substitution_matrix,
 )
+from phylokit.formats import bundled_reference_tree
 from phylokit.trees import PhyloTree
 
 from conftest import caterpillar, random_tree, rng
@@ -595,6 +597,30 @@ def test_simulation_base_frequencies_near_uniform():
     for taxon in ("x", "y"):
         counts = np.array([seqs[taxon].count(c) for c in NUC]) / 200_000
         assert np.abs(counts - 0.25).max() < 0.01
+
+
+# sha256 over seeds 0-2 of ">name\nsequence\n" in name order; any change
+# to the streams, their order or the mutation step changes these
+SIMULATION_PINS = {
+    ("reference", 1): "52955b87b1131723384f1203b9b727b014de95bc7553a966b7b17517579011ea",
+    ("reference", 777): "a7ee956058530b92f97d23ac4bf02a18d588aab6f381c52ab0451c278ca58ab8",
+    ("reference", 5000): "edbcac8d48127778babbbf6c97b7da14f1c7c974b7c0a28b3bf691e3b8398f0b",
+    ("claw", 1): "9e7011ebb0cbb4406418ea1d9dbd978f1c9c470fe7d8147dd5a8f0bad95fd0b5",
+    ("claw", 777): "c0b7ebf87f0418d43433dbd53bc8890f2e45cbec12b7113fec1d97175b8e2004",
+    ("claw", 5000): "09c35664d2795b0605c4c5652814376360d8c805304d863b652f75f4620a4f54",
+}
+
+
+@pytest.mark.parametrize("tree_name, length", sorted(SIMULATION_PINS))
+def test_simulated_sequences_are_pinned(tree_name, length):
+    # the claw's zero-length edge copies its parent without a draw
+    trees = {"reference": bundled_reference_tree, "claw": lambda: _claw_tree(0.2, 0.0, 0.7)}
+    tree = trees[tree_name]()
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for name, seq in sorted(simulate_leaf_sequences(tree, length, seed).items()):
+            digest.update(f">{name}\n{seq}\n".encode("ascii"))
+    assert digest.hexdigest() == SIMULATION_PINS[tree_name, length]
 
 
 def _leaves_beyond_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:

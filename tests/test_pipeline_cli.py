@@ -1,6 +1,7 @@
 """Site counting, motif search, the end-to-end conservation pipeline,
 and the command-line surface."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -942,13 +943,54 @@ def test_distances_with_lowercase_n_and_gaps_equal_the_ascii_count():
             assert pairwise_site_differences(aln, b, a) == counts
 
 
-def test_cli_pipeline_reports_finite_logs_where_p_same_underflows(tmp_path, capsys):
-    # a valid 700-taxon tree metric with lengths 1-3: pSame is far below
-    # the smallest double
+@pytest.mark.parametrize("sites", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_site_counts_across_64_site_words_equal_the_ascii_count(sites):
+    import numpy as np
+
+    g = rng(2000 + sites)
+    base = g.choice(list("ACGT"), sites)
+    records = []
+    for name in ("e", "b", "d", "a", "c"):
+        row = base.copy()
+        u = g.random(sites)
+        row[u < 0.1] = g.choice(list("ACGT"), int((u < 0.1).sum()))
+        row[(u >= 0.1) & (u < 0.2)] = "N"
+        row[(u >= 0.2) & (u < 0.25)] = "n"
+        row[(u >= 0.25) & (u < 0.35)] = "-"
+        row[::4] = base[::4]  # every pair has usable sites, few of them differing
+        lower = g.random(sites) < 0.4
+        row[lower] = np.char.lower(row[lower])
+        records.append((name, "".join(row)))
+    aln = AlignedFasta(records=tuple(records))
+    given = dict(records)
+    want = _ascii_plain_site_counts([given[t] for t in aln.taxa])
+    pairwise, _ = distances_from_alignment(aln)
+    assert [(p.sites, p.differences) for p in pairwise] == list(want.values())
+    for (i, j), counts in want.items():
+        assert pairwise_site_differences(aln, aln.taxa[i], aln.taxa[j]) == counts
+
+
+@pytest.mark.parametrize("sites", [1, 63, 64, 65, 129])
+def test_a_pair_with_no_usable_site_is_named(sites):
+    a = "".join("A-" if i % 2 else "Cn" for i in range(sites))[:sites]
+    b = "".join("NG" if i % 2 else "-t" for i in range(sites))[:sites]
+    aln = AlignedFasta(records=(("c", "A" * sites), ("b", b), ("a", a)))
+    assert pairwise_site_differences(aln, "a", "b") == (0, 0)
+    with pytest.raises(ValueError) as info:
+        distances_from_alignment(aln)
+    assert str(info.value) == "pair (a, b): site count must be at least 1"
+
+
+def _m700_matrix_text():
+    """A valid 700-taxon tree metric with lengths 1-3: pSame is far below
+    the smallest double."""
     taxa = [f"t{i:03d}" for i in range(700)]
-    tree = random_binary_tree(taxa, rng(700), 1.0, 3.0)
+    return format_distance_matrix(tree_metric(random_binary_tree(taxa, rng(700), 1.0, 3.0)))
+
+
+def test_cli_pipeline_reports_finite_logs_where_p_same_underflows(tmp_path, capsys):
     path = tmp_path / "m700.phy"
-    path.write_text(format_distance_matrix(tree_metric(tree)))
+    path.write_text(_m700_matrix_text())
     assert main(["pipeline", "--distances", str(path)]) == 0
     report = _strict_json(capsys.readouterr().out)
     assert report["pSame"] == report["p42"] == report["genomeScale"] == 0.0
@@ -956,6 +998,38 @@ def test_cli_pipeline_reports_finite_logs_where_p_same_underflows(tmp_path, caps
     assert report["log10GenomeScale"] == pytest.approx(
         report["log10P42"] + math.log10(report["genomeLength"]), rel=1e-12
     )
+
+
+def _assert_report_bytes(config):
+    report = run_pipeline(config)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    return report
+
+
+def test_report_json_is_the_indented_dump_of_its_dict():
+    toy = read_bundled("toy_neutral_sites.fa")
+    _assert_report_bytes(PipelineConfig(alignment=toy))
+    assert _assert_report_bytes(PipelineConfig(alignment=toy, motif="acg")).motif_hits
+    _assert_report_bytes(PipelineConfig(distances=_table3_path()))
+    three = ">c\nACGTAC-TNA\n>a\nACGAACGTNA\n>b\nTCGTACGTCA\n"
+    assert len(_assert_report_bytes(PipelineConfig(alignment=three)).pairwise) == 3
+    # names json escapes: a quote, a backslash, a control character,
+    # non-ASCII letters inside and outside the Basic Multilingual Plane
+    names = ['q"uote', "back\\slash", "ctl\x01", "\u00e9", "\U0001d538"]
+    seqs = simulate_leaf_sequences(random_binary_tree(names, rng(52), 0.05, 0.2), 300, 5)
+    text = "".join(f">{name}\n{seq}\n" for name, seq in seqs.items())
+    assert sorted(name for name, _ in read_fasta(text)) == sorted(names)
+    report = _assert_report_bytes(PipelineConfig(alignment=text, motif="ac"))
+    assert {p.taxon_a for p in report.pairwise} | {p.taxon_b for p in report.pairwise} == set(names)
+    assert report.motif_hits
+    # run_pipeline needs three taxa, but a report built by hand may have no rows
+    empty = dataclasses.replace(report, pairwise=())
+    assert empty.to_json() == json.dumps(empty.to_dict(), indent=2)
+
+
+def test_700_taxon_report_json_is_the_indented_dump_of_its_dict():
+    report = _assert_report_bytes(PipelineConfig(distances=_m700_matrix_text()))
+    assert len(report.pairwise) == 700 * 699 // 2
 
 
 def test_cli_writes_non_finite_floats_as_null(tmp_path, capsys):
