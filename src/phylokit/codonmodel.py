@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import NUCLEOTIDES, encode
+from .alphabet import encode
 
 #: Codon to amino-acid map (three-letter identifiers, "*" for stop).
 GENETIC_CODE = {
@@ -39,17 +39,6 @@ def translate(codon: str) -> str:
         return GENETIC_CODE[codon.upper()]
     except KeyError:
         raise ValueError(f"not a codon: {codon!r}") from None
-
-
-def fourfold_degenerate_prefixes() -> frozenset[str]:
-    """Two-base prefixes whose four codons all code the same amino acid."""
-    out = set()
-    for a in NUCLEOTIDES:
-        for b in NUCLEOTIDES:
-            amino = {GENETIC_CODE[a + b + c] for c in NUCLEOTIDES}
-            if len(amino) == 1:
-                out.add(a + b)
-    return frozenset(out)
 
 
 # Degrees of freedom for the independence test: 63 free cells minus
@@ -176,15 +165,6 @@ def independence_test(u: CodonCounts) -> IndependenceReport:
     return IndependenceReport(g2=g2, chi2=chi2, df=INDEPENDENCE_DF)
 
 
-def flatten_first_two(p: np.ndarray) -> np.ndarray:
-    """Reshape a 4x4x4 table to the 16x4 matrix whose rows are indexed by
-    the first two positions and columns by the third."""
-    table = np.asarray(p, dtype=float)
-    if table.shape != (4, 4, 4):
-        raise ValueError(f"expected a 4x4x4 table, got shape {table.shape}")
-    return table.reshape(16, 4)
-
-
 def segre_residual(p: np.ndarray) -> SegreDiagnostics:
     """Distance-from-rank-one diagnostics of a codon distribution.
 
@@ -203,7 +183,7 @@ def segre_residual(p: np.ndarray) -> SegreDiagnostics:
         raise ValueError("probabilities must be non-negative")
     if abs(table.sum() - 1.0) > 1e-9:
         raise ValueError(f"table must sum to 1, got {table.sum()!r}")
-    flat = flatten_first_two(table)
+    flat = table.reshape(16, 4)  # rows: first two positions; columns: third
 
     # minors[r1, r2, c1, c2]; r1 = r2 or c1 = c2 gives exactly zero
     minors = (

@@ -62,34 +62,6 @@ def jc_rate_matrix(alpha: float) -> RateMatrix:
     return RateMatrix(q)
 
 
-def matrix_exponential(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """exp(a) by scaling-and-squaring on the truncated Taylor series.
-
-    Serves as the generic cross-check for the closed-form substitution
-    matrix; ``tol`` bounds the truncation error of the scaled series.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    norm = np.abs(a).sum(axis=1).max()
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    scaled = a / (2**squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    k = 1
-    while True:
-        term = term @ scaled / k
-        result = result + term
-        if np.abs(term).max() < tol:
-            break
-        k += 1
-        if k > 200:
-            raise RuntimeError("matrix exponential did not converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def substitution_matrix(alpha: float, t: float) -> np.ndarray:
     """Closed-form substitution matrix of the single-rate model: diagonal
     entries (1 + 3 e^{-4 alpha t})/4, off-diagonal (1 - e^{-4 alpha t})/4."""
@@ -101,11 +73,6 @@ def substitution_matrix(alpha: float, t: float) -> np.ndarray:
     p = np.full((4, 4), (1.0 - decay) / 4.0)
     np.fill_diagonal(p, (1.0 + 3.0 * decay) / 4.0)
     return p
-
-
-def is_stochastic(p: np.ndarray, tol: float = 1e-9) -> bool:
-    p = np.asarray(p, dtype=float)
-    return bool((p >= -tol).all() and np.abs(p.sum(axis=1) - 1.0).max() <= tol)
 
 
 def branch_length_of(p: np.ndarray) -> float:

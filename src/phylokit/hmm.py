@@ -49,11 +49,12 @@ class HmmParams:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        init = (
-            np.asarray(self.init, dtype=float)
-            if self.init is not None
-            else _default_init(k, self.mode)
-        )
+        if self.init is not None:
+            init = np.asarray(self.init, dtype=float)
+        elif self.mode == "unit-initial":
+            init = np.ones(k)
+        else:
+            init = np.full(k, 1.0 / k)
         if init.shape != (k,):
             raise ValueError(f"initial vector must have length {k}")
         for arr in (trans, emit, init):
@@ -126,20 +127,6 @@ class HmmParams:
                     f"declared {name}={data[name]} does not match tables"
                 )
         return params
-
-
-def _default_init(k: int, mode: str) -> np.ndarray:
-    return np.ones(k) if mode == "unit-initial" else np.full(k, 1.0 / k)
-
-
-def uniform_params(k: int, l: int, mode: str = "stochastic") -> HmmParams:
-    """All-uniform model, mostly useful as a degenerate test point."""
-    return HmmParams(
-        trans=np.full((k, k), 1.0 / k),
-        emit=np.full((k, l), 1.0 / l),
-        init=_default_init(k, mode),
-        mode=mode,
-    )
 
 
 @dataclass(frozen=True)

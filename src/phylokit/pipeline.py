@@ -39,8 +39,9 @@ REPORT_SPEC_VERSION = "1.0"
 
 @dataclass(frozen=True)
 class AlignedFasta:
-    """Equal-length records over A, C, G, T, N and the gap character, and
-    their codes (``encode(seq, gaps=True)``), one row per taxon in ``taxa``."""
+    """Equal-length records over A, C, G, T, N and the gap character, kept
+    as given (``sequence`` uppercases one), and their codes
+    (``encode(seq, gaps=True)``), one row per taxon in ``taxa``."""
 
     records: tuple[tuple[str, str], ...]
     codes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -65,8 +66,7 @@ class AlignedFasta:
                 raise ValueError(f"record {name!r}: {exc}") from None
         codes = np.array([rows[name] for name in sorted(rows)], dtype=np.uint8)
         codes.setflags(write=False)
-        records = tuple((name, seq.translate(ASCII_UPPER)) for name, seq in given)
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "records", given)
         object.__setattr__(self, "codes", codes)
 
     @classmethod
@@ -84,7 +84,7 @@ class AlignedFasta:
     def sequence(self, taxon: str) -> str:
         for name, seq in self.records:
             if name == taxon:
-                return seq
+                return seq.translate(ASCII_UPPER)
         raise KeyError(f"no record named {taxon!r}")
 
 

@@ -132,21 +132,6 @@ PolygonSemiring = Semiring(
     np.frompyfunc(polygon_sum, 2, 1), np.frompyfunc(polygon_product, 2, 1),
 )
 
-_SEMIRINGS = {
-    "prob": ProbabilitySemiring,
-    "max-plus": MaxPlusSemiring,
-    "polygon": PolygonSemiring,
-}
-
-
-def resolve_semiring(tag):
-    if isinstance(tag, str):
-        try:
-            return _SEMIRINGS[tag.lower()]
-        except KeyError:
-            raise ValueError(f"unknown semiring tag {tag!r}") from None
-    return tag
-
 
 # ---------------------------------------------------------------------------
 # chain specifications and evaluation
@@ -210,7 +195,7 @@ class ChainResult:
     path: tuple[str, ...] | None = None
 
 
-def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
+def evaluate_chain(spec: ChainSpec, semiring: Semiring) -> ChainResult:
     """Fold the chain: add over all state paths of the mul of path weights.
 
     Runs in O(length * states^2) semiring operations, one array step per
@@ -220,14 +205,13 @@ def evaluate_chain(spec: ChainSpec, semiring) -> ChainResult:
     A NaN weight, or +inf meeting -inf, lies outside max-plus: the value
     is then NaN and the path some path through a NaN, with no tie rule.
     """
-    sr = resolve_semiring(semiring)
-    if sr is MaxPlusSemiring:
+    if semiring is MaxPlusSemiring:
         return _argmax_chain(spec)
     cur = np.asarray(spec.initial)
     for w in spec.steps:
-        cur = sr.add.reduce(sr.mul(cur[:, None], w), axis=0)
+        cur = semiring.add.reduce(semiring.mul(cur[:, None], w), axis=0)
     # accumulate, unlike a 1-D reduce, sums strictly left to right
-    return ChainResult(sr.add.accumulate(cur).tolist()[-1])
+    return ChainResult(semiring.add.accumulate(cur).tolist()[-1])
 
 
 def _argmax_chain(spec: ChainSpec) -> ChainResult:

@@ -166,10 +166,6 @@ class Split:
     def outside(self) -> frozenset[str]:
         return self.taxa - self.inside
 
-    @property
-    def is_trivial(self) -> bool:
-        return min(len(self.inside), len(self.outside)) == 1
-
     def sides(self) -> tuple[frozenset[str], frozenset[str]]:
         return self.inside, self.outside
 

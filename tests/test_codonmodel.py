@@ -15,7 +15,6 @@ from phylokit.codonmodel import (
     CodonCounts,
     IndependenceParams,
     codon_counts_from_sequence,
-    fourfold_degenerate_prefixes,
     independence_mle,
     independence_test,
     segre_residual,
@@ -51,9 +50,12 @@ def test_genetic_code_has_64_codons_and_3_stops():
 
 
 def test_fourfold_degenerate_prefixes():
-    assert fourfold_degenerate_prefixes() == frozenset(
-        {"TC", "CT", "CC", "CG", "AC", "GT", "GC", "GG"}
-    )
+    # two-base prefixes whose four codons all code the same amino acid
+    fourfold = {
+        a + b for a in "ACGT" for b in "ACGT"
+        if len({GENETIC_CODE[a + b + c] for c in "ACGT"}) == 1
+    }
+    assert fourfold == {"TC", "CT", "CC", "CG", "AC", "GT", "GC", "GG"}
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from phylokit.evolution import (
     claw_class_probabilities,
     claw_fourier_invariant,
     edge_params_from_length,
-    is_stochastic,
     jc_distance,
     jc_rate_matrix,
     log_pattern_probability,
-    matrix_exponential,
     pattern_probability,
     simulate_leaf_sequences,
     substitution_matrix,
@@ -36,6 +34,34 @@ from phylokit.trees import PhyloTree
 from conftest import caterpillar, random_tree, rng
 
 NUC = "ACGT"
+
+
+def matrix_exponential(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """exp(a) by scaling-and-squaring on the truncated Taylor series: the
+    generic cross-check for the closed-form substitution matrix; ``tol``
+    bounds the truncation error of the scaled series."""
+    a = np.asarray(a, dtype=float)
+    norm = np.abs(a).sum(axis=1).max()
+    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
+    scaled = a / (2**squarings)
+    result = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    k = 1
+    while True:
+        term = term @ scaled / k
+        result = result + term
+        if np.abs(term).max() < tol:
+            break
+        k += 1
+        assert k <= 200, "matrix exponential did not converge"
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def is_stochastic(p: np.ndarray, tol: float = 1e-9) -> bool:
+    p = np.asarray(p, dtype=float)
+    return bool((p >= -tol).all() and np.abs(p.sum(axis=1) - 1.0).max() <= tol)
 
 
 def _local_pruning(tree, pattern, root):

@@ -14,11 +14,19 @@ from phylokit.hmm import (
     baum_welch_train,
     forward_probability,
     log_forward,
-    uniform_params,
     viterbi_explanation,
 )
 
 from conftest import rng
+
+
+def uniform_params(k: int, l: int, mode: str = "stochastic") -> HmmParams:
+    """All-uniform model, a degenerate test point; ``init=None`` takes the
+    mode's default initial weights."""
+    return HmmParams(
+        trans=np.full((k, k), 1.0 / k), emit=np.full((k, l), 1.0 / l),
+        init=None, mode=mode,
+    )
 
 
 def _random_params(g, k, l, mode="stochastic") -> HmmParams:
@@ -99,7 +107,7 @@ def test_forward_matches_exhaustive_path_sum():
 def test_forward_agrees_with_generic_chain_evaluator():
     # the scaled forward and the probability-semiring chain fold are the
     # same sum computed two ways
-    from phylokit.semirings import ChainSpec, evaluate_chain
+    from phylokit.semirings import ChainSpec, ProbabilitySemiring, evaluate_chain
 
     g = rng(52)
     h = _random_params(g, 3, 4)
@@ -108,7 +116,9 @@ def test_forward_agrees_with_generic_chain_evaluator():
     steps = tuple(
         tuple(map(tuple, h.trans * h.emit[:, s][None, :])) for s in obs[1:]
     )
-    chain_value = evaluate_chain(ChainSpec(initial=initial, steps=steps), "prob")
+    chain_value = evaluate_chain(
+        ChainSpec(initial=initial, steps=steps), ProbabilitySemiring
+    )
     assert forward_probability(h, obs) == pytest.approx(
         float(chain_value.value), rel=1e-12
     )

@@ -102,6 +102,15 @@ def test_site_differences_errors():
         AlignedFasta(records=(("a", "ACGT"), ("b", "ACG")))
 
 
+def test_alignment_keeps_records_as_given_and_uppercases_sequences():
+    records = (("b", "acgn-"), ("a", "ACgTa"))
+    aln = AlignedFasta(records=records)
+    upper = AlignedFasta(records=(("b", "ACGN-"), ("a", "ACGTA")))
+    assert aln.records == records
+    assert [aln.sequence(t) for t in aln.taxa] == ["ACGTA", "ACGN-"]
+    assert aln.codes.tolist() == upper.codes.tolist()
+
+
 # ---------------------------------------------------------------------------
 # motif search
 

@@ -164,15 +164,35 @@ def _path_score(spec, path):
     return score
 
 
+def _path_minkowski_points(spec, path):
+    # one path's polygon: Minkowski-sum vertex sets by brute force
+    sums = set(spec.initial[path[0]].vertices)
+    for t, w in enumerate(spec.steps):
+        step_pts = w[path[t]][path[t + 1]].vertices
+        sums = {(a[0] + b[0], a[1] + b[1]) for a in sums for b in step_pts}
+    return sums
+
+
+def _check_chain_against_paths(sr, g, sizes, draw, path_weight, total):
+    """Fold chains of each (states, positions) size under the record ``sr``,
+    weights drawn by ``draw(g, shape)`` (initial, then all steps), and
+    compare with ``total`` of the ``path_weight`` of every state path."""
+    for k, n in sizes:
+        spec = ChainSpec(initial=tuple(draw(g, k)), steps=draw(g, (n - 1, k, k)))
+        want = total([path_weight(spec, p) for p in _enumerate_paths(spec)])
+        assert evaluate_chain(spec, sr).value == want
+
+
+def _log_weights(g, shape):
+    # at most -1.5 < log(1/3) - 0.4: with up to three states every total
+    # is below -0.4, so rel 1e-12 never turns into an absolute test near 0
+    values = g.uniform(-6.0, -1.5, size=shape)
+    values[g.random(shape) < 0.15] = -math.inf
+    return values
+
+
 def test_chain_single_position_sums_initial_weights():
-    assert evaluate_chain(ChainSpec(initial=(0.2, 0.8)), "prob").value == 1.0
-
-
-def test_chain_rejects_unknown_semiring_tags():
-    spec = ChainSpec(initial=(0.0, 0.0))
-    for tag in ("tropical", "maxplus", "probability"):
-        with pytest.raises(ValueError, match="unknown semiring"):
-            evaluate_chain(spec, tag)
+    assert evaluate_chain(ChainSpec(initial=(0.2, 0.8)), ProbabilitySemiring).value == 1.0
 
 
 def test_chain_dimension_mismatch_is_an_error():
@@ -189,18 +209,18 @@ def test_chain_dimension_mismatch_is_an_error():
 
 
 def test_chain_prob_matches_exhaustive_path_sum():
-    g = rng(21)
-    for _ in range(25):
-        k, n = 2, 5
-        spec = ChainSpec(
-            initial=tuple(g.random(k)),
-            steps=tuple(
-                tuple(map(tuple, g.random((k, k)))) for _ in range(n - 1)
-            ),
-        )
-        brute = sum(_path_value_prob(spec, p) for p in _enumerate_paths(spec))
-        got = evaluate_chain(spec, "prob").value
-        assert got == pytest.approx(brute, rel=1e-12)
+    _check_chain_against_paths(
+        ProbabilitySemiring, rng(21), [(2, 5)] * 25, lambda g, shape: g.random(shape),
+        _path_value_prob, lambda ws: pytest.approx(sum(ws), rel=1e-12),
+    )
+
+
+def test_chain_log_matches_logaddexp_over_enumerated_paths():
+    _check_chain_against_paths(
+        LogSemiring, rng(34), [(1 + t % 3, 1 + t % 6) for t in range(30)],
+        _log_weights, _path_score,
+        lambda ws: pytest.approx(np.logaddexp.reduce(ws), rel=1e-12),
+    )
 
 
 def test_chain_maxplus_matches_exhaustive_argmax():
@@ -224,7 +244,7 @@ def test_chain_maxplus_matches_exhaustive_argmax():
                 or (score == best_score and word < best_word)
             ):
                 best_score, best_word = score, word
-        got = evaluate_chain(spec, "max-plus")
+        got = evaluate_chain(spec, MaxPlusSemiring)
         assert got.path == best_word
         assert got.value == pytest.approx(best_score, rel=1e-12)
 
@@ -236,67 +256,39 @@ def test_chain_total_tie_returns_lexicographically_smallest_path():
             tuple(tuple(0.25 for _ in range(3)) for _ in range(3)) for _ in range(4)
         ),
     )
-    assert evaluate_chain(spec, "max-plus").path == ("0",) * 5
+    assert evaluate_chain(spec, MaxPlusSemiring).path == ("0",) * 5
 
     named = ChainSpec(
         initial=(1.0, 1.0),
         steps=(((0.0, 0.0), (0.0, 0.0)),),
         labels=("intron", "exon"),
     )
-    assert evaluate_chain(named, "max-plus").path == ("exon", "exon")
+    assert evaluate_chain(named, MaxPlusSemiring).path == ("exon", "exon")
 
 
 def test_chain_maxplus_on_logs_matches_max_log_monomial():
-    g = rng(23)
-    for trial in range(20):
-        k, n = 2 + trial % 2, 5 + trial % 4  # up to k=3, n=8
-        probs_init = g.random(k)
-        probs_steps = [g.random((k, k)) for _ in range(n - 1)]
-        log_spec = ChainSpec(
-            initial=tuple(math.log(v) for v in probs_init),
-            steps=tuple(
-                tuple(tuple(math.log(v) for v in row) for row in w)
-                for w in probs_steps
-            ),
-        )
-        best = max(
-            _path_score(log_spec, p) for p in _enumerate_paths(log_spec)
-        )
-        assert evaluate_chain(log_spec, "max-plus").value == pytest.approx(
-            best, rel=1e-12
-        )
+    _check_chain_against_paths(
+        MaxPlusSemiring, rng(23), [(2 + t % 2, 5 + t % 4) for t in range(20)],
+        lambda g, shape: np.log(g.random(shape)), _path_score,
+        lambda ws: pytest.approx(max(ws), rel=1e-12),
+    )
+
+
+def _random_triangles(g, shape):
+    out = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape):
+        pts = [tuple(map(int, g.integers(0, 5, size=2))) for _ in range(3)]
+        out[index] = LatticePolygon.from_points(pts)
+    return out
 
 
 def test_chain_polygon_semiring_matches_pathwise_oracle():
-    g = rng(24)
-    for _ in range(10):
-        k, n = 2, 4
-
-        def rand_poly():
-            pts = [tuple(map(int, g.integers(0, 5, size=2))) for _ in range(3)]
-            return LatticePolygon.from_points(pts)
-
-        spec = ChainSpec(
-            initial=tuple(rand_poly() for _ in range(k)),
-            steps=tuple(
-                tuple(tuple(rand_poly() for _ in range(k)) for _ in range(k))
-                for _ in range(n - 1)
-            ),
-        )
-        # oracle: per path, Minkowski-sum vertex sets by brute force;
-        # union across paths; gift-wrap at the end
-        cloud = []
-        for path in _enumerate_paths(spec):
-            sums = set(spec.initial[path[0]].vertices)
-            for t, w in enumerate(spec.steps):
-                step_pts = w[path[t]][path[t + 1]].vertices
-                sums = {
-                    (a[0] + b[0], a[1] + b[1]) for a in sums for b in step_pts
-                }
-            cloud.extend(sums)
-        expected = gift_wrap_hull(cloud)
-        got = evaluate_chain(spec, "polygon").value
-        assert got.vertices == expected
+    # the union of the paths' point sets, gift-wrapped at the end
+    _check_chain_against_paths(
+        PolygonSemiring, rng(24), [(2, 4)] * 10, _random_triangles,
+        _path_minkowski_points,
+        lambda clouds: LatticePolygon(gift_wrap_hull(set().union(*clouds))),
+    )
 
 
 def test_convex_hull_matches_gift_wrapping_on_random_clouds():
@@ -335,7 +327,7 @@ def test_chain_maxplus_fold_matches_enumeration_on_dense_ties():
         best, word = _maxplus_by_enumeration(initial, steps, labels)
         got = evaluate_chain(
             ChainSpec(initial=tuple(initial), steps=steps, labels=labels),
-            "max-plus",
+            MaxPlusSemiring,
         )
         assert got.value == best
         assert got.path == word
@@ -407,7 +399,7 @@ def test_chain_array_steps_match_tuple_steps():
         )
         assert as_array.steps is steps
         assert (as_array.length, as_array.states) == (n, k)
-        for sr in ("max-plus", "prob"):
+        for sr in (MaxPlusSemiring, ProbabilitySemiring):
             a, b = evaluate_chain(as_array, sr), evaluate_chain(as_tuple, sr)
             assert (a.value, a.path) == (b.value, b.path)
     with pytest.raises(ValueError):
@@ -426,7 +418,7 @@ def test_chain_rejects_duplicate_labels():
         ChainSpec(initial=(0.0, 0.0, 0.0), steps=np.stack([w0, w1]), labels=("a", "a", "b"))
     spec = ChainSpec(initial=(0.0, 0.0, 0.0), steps=np.stack([w0, w1]), labels=("a", "c", "b"))
     best, word = _maxplus_by_enumeration(np.zeros(3), spec.steps, spec.labels)
-    got = evaluate_chain(spec, "max-plus")
+    got = evaluate_chain(spec, MaxPlusSemiring)
     assert (got.value, got.path) == (best, word) == (0.0, ("a", "b", "a"))
 
 
@@ -495,7 +487,7 @@ def test_chain_array_fold_equals_the_generator_fold():
         k, n = 1 + trial % 5, int(g.integers(1, 31))
         initial = tuple(_random_floats(g, k).tolist())
         spec = ChainSpec(initial=initial, steps=_random_floats(g, (n - 1, k, k)))
-        got = evaluate_chain(spec, "prob").value
+        got = evaluate_chain(spec, ProbabilitySemiring).value
         assert type(got) is float
         assert got == _generator_fold(spec, operator.add, operator.mul)
     for trial in range(15):
@@ -504,7 +496,7 @@ def test_chain_array_fold_equals_the_generator_fold():
             initial=tuple(_random_polygons(g, k)),
             steps=_random_polygons(g, (n - 1, k, k)),
         )
-        got = evaluate_chain(spec, "polygon").value
+        got = evaluate_chain(spec, PolygonSemiring).value
         assert got == _generator_fold(spec, polygon_sum, polygon_product)
 
 

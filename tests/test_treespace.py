@@ -171,7 +171,7 @@ def test_star_tree_has_trivial_splits_and_flag():
     system = splits_of_tree(star)
     assert len(system) == 5
     assert not system.is_binary
-    assert all(s.is_trivial for s in system)
+    assert all(min(len(s.inside), len(s.outside)) == 1 for s in system)
 
 
 def test_reference_tree_has_17_splits():
