@@ -284,10 +284,19 @@ def claw_fourier_invariant(
 _ROOT_STREAM = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _stream(seed: int, index) -> np.random.Generator:
+def _stream(seed: int, index) -> np.random.Philox:
+    """The counter-based stream keyed by (seed, index).  Its raw 64-bit
+    words are what ``np.random.Generator(stream).random`` turns into
+    uniforms, as (word >> 11) * 2**-53."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
+
+
+def _last_kept(theta: float) -> int:
+    """The largest raw word whose uniform (word >> 11) * 2**-53 is below
+    ``theta``: u >= theta exactly when word >> 11 >= ceil(theta * 2**53)."""
+    return (math.ceil(theta * 2.0**53) << 11) - 1
 
 
 def simulate_leaf_sequences(
@@ -304,8 +313,9 @@ def simulate_leaf_sequences(
     if length < 1:
         raise ValueError("length must be at least 1")
     root = _pruning_root(tree)
+    # floor(4u) is the top two bits of the word
     states: dict[int, np.ndarray] = {
-        root: (_stream(seed, _ROOT_STREAM).random(length) * 4).astype(np.int8)
+        root: (_stream(seed, _ROOT_STREAM).random_raw(length) >> 62).astype(np.int8)
     }
     edges = [(p, c) for p, kids in tree.children_from(root).items() for c in kids]
     for index, (parent, child) in enumerate(edges):
@@ -314,10 +324,12 @@ def simulate_leaf_sequences(
         if edge.pi == 0.0:
             states[child] = src
             continue
-        u = _stream(seed, index).random(length)
-        # most sites keep their letter: work on the mutated ones only
-        hit = np.flatnonzero(u >= edge.theta)
-        offset = np.minimum(((u[hit] - edge.theta) / edge.pi).astype(np.int8), 2) + 1
+        raw = _stream(seed, index).random_raw(length)
+        # most sites keep their letter: compare raw words, and make
+        # uniforms only where a mutation lands
+        hit = np.flatnonzero(raw > np.uint64(_last_kept(edge.theta)))
+        u = (raw[hit] >> 11) * 2.0**-53
+        offset = np.minimum(((u - edge.theta) / edge.pi).astype(np.int8), 2) + 1
         out = src.copy()
         out[hit] = (src[hit] + offset) % 4
         states[child] = out

@@ -259,9 +259,18 @@ def cherries(tree: PhyloTree) -> set[frozenset[str]]:
 
 
 def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
-    """Agglomerate the pair minimizing (n-2) d(i,j) - r_i - r_j, assign
+    """Agglomerate the pair minimizing (n-2) d(i,j) - (r_i + r_j), assign
     cherry edge lengths by the divergence-corrected formula, and reduce
     with d(z,k) = (d(x,k) + d(y,k) - d(x,y))/2.
+
+    Works in place on one n x n copy of the table, whose leading m x m
+    block holds the m active clusters: a join writes the merged row into
+    the slot of the older cherry member and moves the last active row
+    into the other member's slot.  The criterion is bit-symmetric and is
+    written into one preallocated buffer with an inf diagonal.  Each
+    cherry is oriented by join order (leaves in input order, then hubs
+    in the order they are made), which fixes the sign of r_a - r_b in
+    its edge lengths.
 
     Exact tree metrics are reconstructed exactly (up to roundoff); ties
     in the criterion go to the lexicographically smallest label pair.
@@ -273,11 +282,13 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
         raise ValueError("neighbor joining needs at least 3 taxa")
 
     tree = PhyloTree()
+    # node ids count up in join order: leaves in input order, then hubs
     nodes = [tree.add_node(label=t) for t in delta.taxa]
     # sort key of an agglomerated cluster: its smallest original label
     keys = list(delta.taxa)
     values = np.array(delta.values)
-    lower = np.tri(n, dtype=bool)  # one mask; each join reads its leading block
+    # criterion and pair-sum scratch, each used as one contiguous m x m block
+    q, pair_sums = np.empty(n * n), np.empty(n * n)
 
     def attach(node: int, hub: int, length: float, key: str) -> None:
         if length < 0:
@@ -290,32 +301,38 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
             length = 0.0
         tree.add_edge(node, hub, length)
 
-    while len(nodes) > 3:
-        m = len(nodes)
-        r = values.sum(axis=1)
-        a, b, _ = _cherry_pick(r, values, 2, keys, lower)
-        dab = values[a, b]
+    for m in range(n, 3, -1):
+        d = values[:m, :m]
+        r = d.sum(axis=1)
+        crit, sums = q[: m * m].reshape(m, m), pair_sums[: m * m].reshape(m, m)
+        np.add(r[:, None], r, out=sums)
+        np.subtract(np.multiply(d, m - 2, out=crit), sums, out=crit)
+        q[: m * m : m + 1] = np.inf  # crit's diagonal
+        a, b = _pick_pair(crit, keys)
+        if nodes[a] > nodes[b]:
+            a, b = b, a
+        dab = d[a, b]
         la = 0.5 * dab + (r[a] - r[b]) / (2.0 * (m - 2))
         lb = dab - la
         hub = tree.add_node()
         attach(nodes[a], hub, la, keys[a])
         attach(nodes[b], hub, lb, keys[b])
 
-        merged = 0.5 * (values[a] + values[b] - dab)
-        keep = [x for x in range(m) if x not in (a, b)]
-        reduced = np.empty((m - 1, m - 1))
-        reduced[:-1, :-1] = values[np.ix_(keep, keep)]
-        reduced[-1, :-1] = reduced[:-1, -1] = merged[keep]
-        reduced[-1, -1] = 0.0
-        values = reduced
-        nodes = [nodes[x] for x in keep] + [hub]
-        keys = [keys[x] for x in keep] + [min(keys[a], keys[b])]
+        # d is exactly symmetric, so the merged row is 0 at a and at b
+        d[a] = d[:, a] = 0.5 * (d[a] + d[b] - dab)
+        d[b] = d[m - 1]
+        d[:, b] = d[:, m - 1]
+        nodes[a], keys[a] = hub, min(keys[a], keys[b])
+        nodes[b], keys[b] = nodes[m - 1], keys[m - 1]
+        del nodes[m - 1], keys[m - 1]
 
+    order = sorted(range(3), key=nodes.__getitem__)
+    values = values[np.ix_(order, order)]
     hub = tree.add_node()
     for a in range(3):
         b, c = [x for x in range(3) if x != a]
         la = 0.5 * (values[a, b] + values[a, c] - values[b, c])
-        attach(nodes[a], hub, la, keys[a])
+        attach(nodes[order[a]], hub, la, keys[order[a]])
     return tree
 
 
@@ -400,21 +417,27 @@ def _subset_sums(delta_m: MDissimilarityMap) -> tuple[np.ndarray, np.ndarray]:
     return single, joint
 
 
-def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys, lower):
-    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j and its
-    arg-min pair a < b: the exact minimum, then the smallest sorted pair
-    of ``keys``.  The criterion is not bit-symmetric, so only a < b is
-    read; the diagonal and below are set to inf through the leading
-    n x n block of ``lower``, a boolean ``np.tri`` mask of n or more rows
-    that callers make once per run."""
-    n = len(single)
-    q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
-    np.copyto(q, np.inf, where=lower[:n, :n])
-    a, b = min(
+def _pick_pair(q: np.ndarray, keys) -> tuple[int, int]:
+    """Arg-min entry (a, b) of a square criterion that holds inf on every
+    entry it excludes: the exact minimum, then the smallest sorted pair
+    of ``keys``."""
+    n = len(q)
+    return min(
         (divmod(int(t), n) for t in np.flatnonzero(q == q.min())),
         key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
     )
-    return a, b, q
+
+
+def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys, lower):
+    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j and its
+    arg-min pair a < b by :func:`_pick_pair`.  The criterion is not
+    bit-symmetric, so only a < b is read; the diagonal and below are set
+    to inf through the leading n x n block of ``lower``, a boolean
+    ``np.tri`` mask of n or more rows that callers make once per run."""
+    n = len(single)
+    q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
+    np.copyto(q, np.inf, where=lower[:n, :n])
+    return (*_pick_pair(q, keys), q)
 
 
 def generalized_nj_cherry(delta_m: MDissimilarityMap):
@@ -546,19 +569,29 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     if n < m + 2:
         return MTreeVerdict(True, vacuous=True)
     members, vals = _members(delta_m, delta_m.taxa)
-    for fixed in combinations(delta_m.taxa, m - 2):
-        keep = ~np.isin(delta_m.taxa, fixed)
-        free = keep[members]  # a subset through every pinned taxon has two free
-        rows = free.sum(axis=1) == 2
-        i, j = members[rows][free[rows]].reshape(-1, 2).T
+    members.sort(axis=1)
+    # every subset once per choice of its two free members, ordered by the
+    # pinned rest as ``combinations`` visits it: each slice is one block
+    pairs = list(combinations(range(m), 2))
+    free = np.concatenate([members[:, pair] for pair in pairs])
+    pinned = np.concatenate([np.delete(members, pair, axis=1) for pair in pairs])
+    # the pinned positions read as one base-n number
+    order = np.argsort(pinned @ n ** np.arange(m - 3, -1, -1), kind="stable")
+    free, vals = free[order], np.tile(vals, len(pairs))[order]
+    block = (n - m + 2) * (n - m + 1) // 2
+    for start, fixed in zip(range(0, len(order), block), combinations(range(n), m - 2)):
+        i, j = free[start:start + block].T
         table = np.zeros((n, n))
-        table[i, j] = table[j, i] = vals[rows]
-        rest = tuple(t for t in delta_m.taxa if t not in fixed)
+        table[i, j] = table[j, i] = vals[start:start + block]
+        keep = np.ones(n, dtype=bool)
+        keep[list(fixed)] = False
+        rest = tuple(t for t, kept in zip(delta_m.taxa, keep) if kept)
         induced = DissimilarityMap(rest, table[np.ix_(keep, keep)])
         for check in (check_metric, check_four_point):
             verdict = check(induced)
             if not verdict:
-                return MTreeVerdict(False, witness=(fixed, verdict.violation))
+                pinned_taxa = tuple(delta_m.taxa[x] for x in fixed)
+                return MTreeVerdict(False, witness=(pinned_taxa, verdict.violation))
     return MTreeVerdict(True)
 
 

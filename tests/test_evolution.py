@@ -649,6 +649,32 @@ def test_simulated_sequences_are_pinned(tree_name, length):
     assert digest.hexdigest() == SIMULATION_PINS[tree_name, length]
 
 
+def test_generator_uniforms_are_the_top_53_bits_of_the_raw_stream():
+    # simulation reads raw Philox words; it draws what the Generator's
+    # ``random`` would only while numpy defines u as (word >> 11) * 2**-53
+    for seed, index in ((0, 0), (3, 17), (2**40 + 5, evolution._ROOT_STREAM)):
+        u = np.random.Generator(evolution._stream(seed, index)).random(1000)
+        words = evolution._stream(seed, index).random_raw(1000)
+        assert np.array_equal(u.view(np.uint64), ((words >> 11) * 2.0**-53).view(np.uint64))
+        # a root letter is floor(4u), the word's top two bits
+        assert np.array_equal((u * 4).astype(np.int8), (words >> 62).astype(np.int8))
+
+
+def test_raw_word_threshold_agrees_with_the_uniform_comparison():
+    # theta = 1 - 3 pi makes theta * 2**53 an integer; doubles below 0.5,
+    # such as 0.3 or 0.25 + 2**-54, need the ceiling
+    thetas = [edge_params_from_length(b).theta for b in (1e-9, 0.003, 0.1, 0.7, 5.0, 40.0)]
+    thetas += [0.25 + 2.0**-54, 0.3, 0.75, 1.0]
+    assert {t * 2.0**53 == math.ceil(t * 2.0**53) for t in thetas} == {True, False}
+    for theta in thetas:
+        c = math.ceil(theta * 2.0**53)
+        ks = [k for k in (c - 1, c, c + 1) if 0 <= k < 2**53]
+        words = np.array([(k << 11) | low for k in ks for low in (0, 2**11 - 1)], dtype=np.uint64)
+        hit = words > np.uint64(evolution._last_kept(theta))
+        assert np.array_equal(hit, (words >> 11) * 2.0**-53 >= theta), theta
+        assert hit.any() == (c < 2**53) and not hit.all()
+
+
 def _leaves_beyond_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:
     """The rooted edge order by one ``leaves_beyond`` call per edge: the
     children of each node sorted by the smallest label beyond them, "~"

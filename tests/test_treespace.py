@@ -719,6 +719,34 @@ def test_nj_matches_the_loop_agglomeration_on_tied_integer_matrices():
     assert tied_steps >= 30
 
 
+def test_nj_matches_the_loop_agglomeration_on_exact_and_noisy_float_matrices():
+    # row sums and the criterion round differently in the two forms, so
+    # lengths agree to roundoff and quartet-stage ties may join in either
+    # order; the Newick text and every split's length must still agree
+    import warnings
+
+    from phylokit.formats import emit_newick
+
+    for seed, n in enumerate((20, 50, 100, 200)):
+        g = rng(9950 + seed)
+        base = tree_metric(random_tree(9960 + seed, n))
+        perm = g.permutation(n)
+        taxa = tuple(base.taxa[i] for i in perm)
+        exact = base.values[np.ix_(perm, perm)]
+        noisy = exact + _symmetric(g, n, lambda g, s: np.abs(g.normal(0.0, 0.02, s)))
+        for values in (exact, noisy):
+            delta = DissimilarityMap(taxa=taxa, values=values)
+            want, _ = _loop_neighbor_join(delta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = neighbor_join(delta)
+            assert emit_newick(got) == emit_newick(want)
+            want_lengths, got_lengths = _split_lengths(want), _split_lengths(got)
+            assert set(got_lengths) == set(want_lengths)
+            for split, length in want_lengths.items():
+                assert got_lengths[split] == pytest.approx(length, rel=1e-12, abs=0.0)
+
+
 def test_dissimilarity_map_rejects_infinite_entries():
     for bad in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="inf"):
