@@ -6,7 +6,13 @@ alignment polygons (lattice polygons).  On top of it: codon
 independence diagnostics, HMM training and decoding, pair-HMM
 alignment, Jukes-Cantor likelihoods on trees, distance-based tree
 reconstruction, and the genome-conservation probability pipeline.
+
+The ``phylokit`` loggers are silent unless the application configures
+logging: ``phylokit.semirings`` reports each log chain fold's block
+length at DEBUG.
 """
+
+import logging
 
 from .codonmodel import (
     CodonCounts,
@@ -83,5 +89,7 @@ from .treespace import (
     splits_of_tree,
     tree_metric,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

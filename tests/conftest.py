@@ -3,6 +3,9 @@ generators used across the suite."""
 
 from __future__ import annotations
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,15 @@ from phylokit.treespace import random_binary_tree
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def block_lengths(caplog) -> list[int]:
+    """Block length of every log chain fold that ``caplog`` recorded since
+    its last clear, in order; clears it.  Each record must be at DEBUG."""
+    records = [r for r in caplog.records if r.name == "phylokit.semirings"]
+    caplog.clear()
+    assert all(r.levelno == logging.DEBUG for r in records)
+    return [int(re.search(r"block length (\d+)$", r.getMessage()).group(1)) for r in records]
 
 
 # ---------------------------------------------------------------------------

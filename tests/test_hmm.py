@@ -2,6 +2,7 @@
 exhaustive arg-max with the same tie rule, and training monotonicity."""
 
 import itertools
+import logging
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from phylokit.hmm import (
     viterbi_explanation,
 )
 
-from conftest import rng
+from conftest import block_lengths, rng
 
 
 def uniform_params(k: int, l: int, mode: str = "stochastic") -> HmmParams:
@@ -159,6 +160,46 @@ def test_log_forward_handles_deep_underflow():
     obs = [0] * 4000
     assert log_forward(h, obs) == pytest.approx(4000 * math.log(0.25), rel=1e-12)
     assert forward_probability(h, obs) == 0.0  # underflows as a plain float
+
+
+def _late_switch(zero_in_state_1: float) -> HmmParams:
+    # identity transitions: every hidden path stays in its first state.
+    # State 0 cannot emit symbol 2, so after 2,999 zeros and then a 2 only
+    # state 1's path is left, a closed form far below underflow.
+    return HmmParams(
+        trans=np.eye(2),
+        emit=[[0.9, 0.1, 0.0, 0.0], [zero_in_state_1, 0.2 - zero_in_state_1, 0.4, 0.4]],
+        init=[0.5, 0.5],
+    )
+
+
+LATE_SWITCH_OBS = [0] * 2999 + [2]
+
+
+@pytest.mark.parametrize("zero_in_state_1", [0.1, 1e-300])
+def test_log_forward_late_switch_closed_form(zero_in_state_1):
+    # at 0.1 the fold runs on block products; at 1e-300 a step's spread
+    # (ln 0.9 - ln 1e-300, about 690) leaves it one step at a time
+    want = math.log(0.5) + 2999 * math.log(zero_in_state_1) + math.log(0.4)
+    got = log_forward(_late_switch(zero_in_state_1), LATE_SWITCH_OBS)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_log_forward_logs_its_block_length(caplog):
+    assert any(
+        isinstance(handler, logging.NullHandler)
+        for handler in logging.getLogger("phylokit").handlers
+    )
+    caplog.set_level(logging.DEBUG, logger="phylokit.semirings")
+    log_forward(_late_switch(0.1), LATE_SWITCH_OBS)
+    log_forward(_late_switch(1e-300), LATE_SWITCH_OBS)
+    blocked, per_position = block_lengths(caplog)
+    assert blocked > 1 and per_position == 1
+    # without DEBUG enabled the fold logs nothing
+    caplog.set_level(logging.INFO, logger="phylokit.semirings")
+    caplog.clear()
+    log_forward(_late_switch(0.1), LATE_SWITCH_OBS)
+    assert not caplog.records
 
 
 def _packed_log_forward(h: HmmParams, obs) -> float:

@@ -2,6 +2,7 @@
 against path enumeration and gift-wrapping oracles."""
 
 import itertools
+import logging
 import math
 import operator
 from functools import reduce
@@ -24,7 +25,7 @@ from phylokit.semirings import (
     polygon_sum,
 )
 
-from conftest import gift_wrap_hull, rng
+from conftest import block_lengths, gift_wrap_hull, rng
 
 # dyadic grid values make float + and * exact, so algebraic laws can be
 # asserted with == rather than tolerances
@@ -183,6 +184,23 @@ def _check_chain_against_paths(sr, g, sizes, draw, path_weight, total):
         assert evaluate_chain(spec, sr).value == want
 
 
+def _log_fold_by_steps(spec: ChainSpec) -> float:
+    # the log-sum-exp fold with one array step per position, as it ran
+    # before block products: the oracle of the blocked LogSemiring fold
+    cur = np.asarray(spec.initial, dtype=float)
+    for w in np.asarray(spec.steps, dtype=float):
+        cur = np.logaddexp.reduce(cur[:, None] + w, axis=0)
+    return np.logaddexp.accumulate(cur).tolist()[-1]
+
+
+def _check_log_fold_against_steps(spec: ChainSpec):
+    got, want = evaluate_chain(spec, LogSemiring).value, _log_fold_by_steps(spec)
+    if math.isfinite(want):
+        assert got == pytest.approx(want, rel=1e-12)
+    else:  # -inf, +inf or NaN: the same one
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def _log_weights(g, shape):
     # at most -1.5 < log(1/3) - 0.4: with up to three states every total
     # is below -0.4, so rel 1e-12 never turns into an absolute test near 0
@@ -221,6 +239,77 @@ def test_chain_log_matches_logaddexp_over_enumerated_paths():
         _log_weights, _path_score,
         lambda ws: pytest.approx(np.logaddexp.reduce(ws), rel=1e-12),
     )
+
+
+def test_chain_log_blocks_match_the_per_position_fold(caplog):
+    # k 1-5, n 2-2,000, weights uniform on [-w, 0] with 15% -inf; at
+    # w = 1,400 one step's spread is too wide for any block
+    caplog.set_level(logging.DEBUG, logger="phylokit.semirings")
+    g = rng(35)
+    lengths = set()
+    for trial in range(1200):
+        k, n = int(g.integers(1, 6)), int(g.integers(2, 2001))
+        w = (8.0, 20.0, 60.0, 1400.0)[trial % 4]
+        initial, steps = -g.uniform(0.0, w, k), -g.uniform(0.0, w, (n - 1, k, k))
+        initial[g.random(k) < 0.15] = -math.inf
+        steps[g.random(steps.shape) < 0.15] = -math.inf
+        _check_log_fold_against_steps(ChainSpec(initial=tuple(initial), steps=steps))
+        (length,) = block_lengths(caplog)
+        assert 1 <= length <= max(1, math.isqrt(n - 1))
+        assert length == 1 or k == 1 or w < 1400.0
+        lengths.add(length)
+    assert 1 in lengths and max(lengths) > 30
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_log_blocks_at_square_lengths_and_with_tails(k, caplog):
+    caplog.set_level(logging.DEBUG, logger="phylokit.semirings")
+    g = rng(36 + k)
+    # n - 1 around L**2, with L = sqrt(n - 1)
+    for count in (48, 49, 50, 63, 64, 65):
+        steps = -g.uniform(0.0, 20.0, (count, k, k))
+        _check_log_fold_against_steps(ChainSpec(initial=(0.0,) * k, steps=steps))
+        assert block_lengths(caplog) == [math.isqrt(count)]
+    # a spread of 52 - ln k caps L at 600 // 52 = 11, and 1,005 steps
+    # leave a tail of 4 (one state has no spread: L = 31, a tail of 13)
+    steps = -g.uniform(0.0, 20.0, (1005, k, k))
+    if k > 1:
+        steps[:, 0, 0], steps[:, 0, 1] = math.log(k) - 52.0, 0.0
+    _check_log_fold_against_steps(ChainSpec(initial=(0.0,) * k, steps=steps))
+    assert block_lengths(caplog) == [11 if k > 1 else 31]
+
+
+def test_chain_log_blocks_at_the_edges(caplog):
+    caplog.set_level(logging.DEBUG, logger="phylokit.semirings")
+    inf, nan = math.inf, math.nan
+    g = rng(37)
+    steps = -g.uniform(0.0, 5.0, (400, 3, 3))
+    # one step that is all -inf makes every path zero
+    dead = steps.copy()
+    dead[217] = -inf
+    spec = ChainSpec(initial=(0.0, -1.0, -2.0), steps=dead)
+    assert evaluate_chain(spec, LogSemiring).value == _log_fold_by_steps(spec) == -inf
+    # one state: the sum of the weights, blocked at flat and spread steps
+    for single in (np.zeros((399, 1, 1)), steps[:, :1, :1]):
+        value = evaluate_chain(ChainSpec(initial=(-0.5,), steps=single), LogSemiring).value
+        assert value == pytest.approx(-0.5 + single.sum(), rel=1e-12)
+    assert block_lengths(caplog) == [20, 19, 20]
+    # NaN and +inf weights, in a step or in the initial vector, fold per
+    # position and give the loop's NaN or +inf
+    with np.errstate(invalid="ignore"):
+        for initial, weight in (
+            ((0.0, -1.0, -2.0), nan),
+            ((0.0, -1.0, -2.0), inf),
+            ((nan, -1.0, -2.0), -1.0),
+            ((inf, -1.0, -2.0), -1.0),
+        ):
+            bad = steps.copy()
+            bad[:, 1, 2] = -inf
+            bad[123, 0, 0] = weight
+            spec = ChainSpec(initial=initial, steps=bad)
+            _check_log_fold_against_steps(spec)
+            assert not math.isfinite(evaluate_chain(spec, LogSemiring).value)
+    assert block_lengths(caplog) == [1] * 8
 
 
 def test_chain_maxplus_matches_exhaustive_argmax():
