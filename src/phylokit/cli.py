@@ -99,8 +99,7 @@ def _cmd_align(args) -> str:
     else:
         params = pair_params_from_json(Path(args.params).read_text())
         if args.align_command == "prob":
-            value = pairhmm.pair_probability(params, s1, s2)
-            log_value = pairhmm.log_pair_probability(params, s1, s2)
+            value, log_value = pairhmm._probabilities(params, s1, s2)  # one sweep for both
             return _json({"probability": value, "logProbability": log_value})
         best, key = pairhmm.viterbi_alignment(params, s1, s2), "logScore"
     gapped = pairhmm.format_alignment(best.word, s1.upper(), s2.upper())

@@ -250,6 +250,13 @@ def _backward(h: HmmParams, factors, scales, counts) -> np.ndarray:
     return beta
 
 
+def _normalized_rows(counts: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Expected counts divided by their row sums, the expected visits of
+    each state; a state with no visit keeps its row of ``old``."""
+    total = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, total, out=old.copy(), where=total > 0)
+
+
 def baum_welch_train(
     h0: HmmParams,
     data: list,
@@ -290,25 +297,11 @@ def baum_welch_train(
         gamma = alpha * beta
         gamma /= gamma.sum(axis=1, keepdims=True)
         after = factors[firsts:] * beta[firsts:] / scales[firsts:, None]
-        trans_num = params.trans * (alpha[prev].T @ after)
-        trans_den = gamma[prev].sum(axis=0)
-        emit_num = gamma.T @ onehot
-        emit_den = gamma.sum(axis=0)
         init_acc = gamma[:firsts].sum(axis=0)
-
-        new_trans = params.trans.copy()
-        visited = trans_den > 0
-        new_trans[visited] = trans_num[visited] / trans_den[visited, None]
-        new_trans[visited] /= new_trans[visited].sum(axis=1, keepdims=True)
-        new_emit = params.emit.copy()
-        seen = emit_den > 0
-        new_emit[seen] = emit_num[seen] / emit_den[seen, None]
-        new_emit[seen] /= new_emit[seen].sum(axis=1, keepdims=True)
-        new_init = init_acc / init_acc.sum()
         params = HmmParams(
-            trans=new_trans,
-            emit=new_emit,
-            init=new_init,
+            trans=_normalized_rows(params.trans * (alpha[prev].T @ after), params.trans),
+            emit=_normalized_rows(gamma.T @ onehot, params.emit),
+            init=init_acc / init_acc.sum(),
             mode="stochastic",
             labels=params.labels,
         )

@@ -396,6 +396,19 @@ def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]
     return float(final.sum()), exps[-1] + s * (len(codes[0]) + len(codes[1]))
 
 
+def _probabilities(p: PairHmmParams, s1: str, s2: str) -> tuple[float, float]:
+    """:func:`pair_probability` and :func:`log_pair_probability` from one
+    sweep."""
+    mantissa, exponent = _scaled_probability(p, s1, s2)
+    if mantissa == 0.0:
+        return 0.0, NEG_INF
+    log_value = math.log(mantissa) + exponent * math.log(2.0)
+    try:
+        return math.ldexp(mantissa, exponent), log_value
+    except OverflowError:  # above the largest double, as a float product
+        return math.inf, log_value
+
+
 def _mark(tight: np.ndarray, best_final: np.ndarray, n: int, m: int, base) -> np.ndarray:
     """Masks of the states whose nodes lie on tight paths to a best final
     state, laid out as ``tight``.  A slice that reaches past a diagonal's
@@ -536,20 +549,13 @@ def pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
     alignments of the alignment's parameter monomial, in O(n*m).  Below
     the smallest double this is 0.0; :func:`log_pair_probability` stays
     finite."""
-    mantissa, exponent = _scaled_probability(p, s1, s2)
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:  # above the largest double, as a float product
-        return math.inf
+    return _probabilities(p, s1, s2)[0]
 
 
 def log_pair_probability(p: PairHmmParams, s1: str, s2: str) -> float:
     """Natural log of :func:`pair_probability`, computed from the scaled
     sweep, so it is finite even where the probability underflows."""
-    mantissa, exponent = _scaled_probability(p, s1, s2)
-    if mantissa == 0.0:
-        return NEG_INF
-    return math.log(mantissa) + exponent * math.log(2.0)
+    return _probabilities(p, s1, s2)[1]
 
 
 def viterbi_alignment(p: PairHmmParams, s1: str, s2: str) -> ScoredAlignment:

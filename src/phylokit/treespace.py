@@ -258,6 +258,24 @@ def cherries(tree: PhyloTree) -> set[frozenset[str]]:
 # neighbor joining
 
 
+def _pick_cherry(d: np.ndarray, keys, q: np.ndarray, pair_sums: np.ndarray):
+    """Arg-min (a, b) of the cherry criterion (m-2) d(i,j) - (r_i + r_j) on
+    an m x m table d, and d's row sums r.  The criterion stays in the flat
+    buffer ``q``'s first m*m entries with an inf diagonal (bit-symmetric
+    where d is); exact ties go to the smallest sorted pair of ``keys``."""
+    m = len(d)
+    r = d.sum(axis=1)
+    crit, sums = q[: m * m].reshape(m, m), pair_sums[: m * m].reshape(m, m)
+    np.add(r[:, None], r, out=sums)
+    np.subtract(np.multiply(d, m - 2, out=crit), sums, out=crit)
+    q[: m * m : m + 1] = np.inf  # crit's diagonal
+    a, b = min(
+        (divmod(int(t), m) for t in np.flatnonzero(crit == crit.min())),
+        key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
+    )
+    return a, b, r
+
+
 def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
     """Agglomerate the pair minimizing (n-2) d(i,j) - (r_i + r_j), assign
     cherry edge lengths by the divergence-corrected formula, and reduce
@@ -266,11 +284,10 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
     Works in place on one n x n copy of the table, whose leading m x m
     block holds the m active clusters: a join writes the merged row into
     the slot of the older cherry member and moves the last active row
-    into the other member's slot.  The criterion is bit-symmetric and is
-    written into one preallocated buffer with an inf diagonal.  Each
-    cherry is oriented by join order (leaves in input order, then hubs
-    in the order they are made), which fixes the sign of r_a - r_b in
-    its edge lengths.
+    into the other member's slot.  The criterion is :func:`_pick_cherry`'s
+    in two preallocated buffers.  Each cherry is oriented by join order
+    (leaves in input order, then hubs in the order they are made), which
+    fixes the sign of r_a - r_b in its edge lengths.
 
     Exact tree metrics are reconstructed exactly (up to roundoff); ties
     in the criterion go to the lexicographically smallest label pair.
@@ -303,12 +320,7 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
 
     for m in range(n, 3, -1):
         d = values[:m, :m]
-        r = d.sum(axis=1)
-        crit, sums = q[: m * m].reshape(m, m), pair_sums[: m * m].reshape(m, m)
-        np.add(r[:, None], r, out=sums)
-        np.subtract(np.multiply(d, m - 2, out=crit), sums, out=crit)
-        q[: m * m : m + 1] = np.inf  # crit's diagonal
-        a, b = _pick_pair(crit, keys)
+        a, b, r = _pick_cherry(d, keys, q, pair_sums)
         if nodes[a] > nodes[b]:
             a, b = b, a
         dab = d[a, b]
@@ -404,40 +416,16 @@ def _members(delta_m: MDissimilarityMap, taxa) -> tuple[np.ndarray, np.ndarray]:
     return members, np.array(list(delta_m.values.values()))
 
 
-def _subset_sums(delta_m: MDissimilarityMap) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the values of every subset containing each taxon, and of
-    every subset containing each taxon pair (zero diagonal), in the
-    map's taxon order."""
+def _subset_sums(delta_m: MDissimilarityMap) -> np.ndarray:
+    """Sum of the values of every subset containing each taxon pair (zero
+    diagonal), in the map's taxon order.  Row i sums to m-1 times the sum
+    over the subsets containing i."""
     n, m = delta_m.size, delta_m.m
     members, vals = _members(delta_m, delta_m.taxa)
-    single = np.bincount(members.ravel(), np.repeat(vals, m), n)
     joint = np.zeros((n, n))
     for a, b in permutations(range(m), 2):
         np.add.at(joint, (members[:, a], members[:, b]), vals)
-    return single, joint
-
-
-def _pick_pair(q: np.ndarray, keys) -> tuple[int, int]:
-    """Arg-min entry (a, b) of a square criterion that holds inf on every
-    entry it excludes: the exact minimum, then the smallest sorted pair
-    of ``keys``."""
-    n = len(q)
-    return min(
-        (divmod(int(t), n) for t in np.flatnonzero(q == q.min())),
-        key=lambda pair: sorted((keys[pair[0]], keys[pair[1]])),
-    )
-
-
-def _cherry_pick(single: np.ndarray, joint: np.ndarray, m: int, keys, lower):
-    """Cherry criterion (n-2)/(m-1) * joint - single_i - single_j and its
-    arg-min pair a < b by :func:`_pick_pair`.  The criterion is not
-    bit-symmetric, so only a < b is read; the diagonal and below are set
-    to inf through the leading n x n block of ``lower``, a boolean
-    ``np.tri`` mask of n or more rows that callers make once per run."""
-    n = len(single)
-    q = (n - 2) / (m - 1) * joint - single[:, None] - single[None, :]
-    np.copyto(q, np.inf, where=lower[:n, :n])
-    return (*_pick_pair(q, keys), q)
+    return joint
 
 
 def generalized_nj_cherry(delta_m: MDissimilarityMap):
@@ -447,19 +435,22 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
     avoiding i,j, minus the sums of delta(i,Y') and delta(j,Y') over
     (m-1)-subsets.  On maps derived from a tree the minimizing pair is a
     cherry.  Returns the pair and the full Q table keyed by sorted label
-    pairs; ties go to the lexicographically smallest pair.
+    pairs; ties go to the lexicographically smallest pair.  With J(i,j)
+    the first sum, row i of J sums to (m-1) times the second, so Q is
+    :func:`_pick_cherry`'s criterion on J divided by m-1.
     """
     taxa = delta_m.taxa
     n, m = len(taxa), delta_m.m
     if n <= m:
         raise ValueError(f"need more taxa than the subset size ({n} <= {m})")
-    single, joint = _subset_sums(delta_m)
     order = sorted(range(n), key=taxa.__getitem__)
     names = [taxa[i] for i in order]
-    lower = np.tri(n, dtype=bool)
-    a, b, q = _cherry_pick(single[order], joint[np.ix_(order, order)], m, names, lower)
+    joint, q = _subset_sums(delta_m)[np.ix_(order, order)], np.empty(n * n)
+    # joint is symmetric in value only, so the pick may lie in either triangle
+    a, b, _ = _pick_cherry(joint, names, q, np.empty(n * n))
+    q = q.reshape(n, n) / (m - 1)
     table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
-    return (names[a], names[b]), table
+    return (names[min(a, b)], names[max(a, b)]), table
 
 
 def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
@@ -477,9 +468,9 @@ def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
         raise ValueError("pairwise inversion needs at least 5 taxa")
     total = sum(md.values.values())  # = (n-2)/2 * sum of all pairwise d
     all_pairs_sum = 2.0 * total / (n - 2)
-    single, joint = _subset_sums(md)
-    # single_t = ((n-3) * r_t + all_pairs_sum) / 2
-    row = (2.0 * single - all_pairs_sum) / (n - 3)
+    joint = _subset_sums(md)
+    # joint's row sums: ((n-3) * r_t + all_pairs_sum), twice the triples through t
+    row = (joint.sum(axis=1) - all_pairs_sum) / (n - 3)
     # joint_xy = ((n-4) * d(x,y) + r_x + r_y) / 2
     values = np.triu((2.0 * joint - row[:, None] - row[None, :]) / (n - 4), 1)
     return DissimilarityMap(taxa=md.taxa, values=values + values.T)
@@ -487,22 +478,24 @@ def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
 
 def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     """Tree topology from a 3-dissimilarity map by repeated cherry
-    picking on the subtree-length criterion.
+    picking: neighbor joining on J(i,j) = sum over k of delta(i,j,k)
+    (see :func:`generalized_nj_cherry`), in place as :func:`neighbor_join`
+    runs, with the merged cluster in its smaller-named member's slot.
 
     Joining a cherry (x, y) into z replaces triple values by the average
-    (delta(x,i,j) + delta(y,i,j)) / 2.  After a join the triple array is
-    no longer an exact 3-map (every z-triple still carries half the two
-    pendant edges), and only its criterion is read: a shift c on every
-    triple through z moves every criterion entry by the same amount,
-    -1.5 c (r-2) on r clusters, so no pick changes.  Pairwise distances are
-    derived once by :func:`pairwise_from_3map` and carried along with
-    the standard (d(x,k) + d(y,k) - d(x,y)) / 2 reduction; they resolve
-    the final quartet, where the triple criterion is constant across
-    pairs (on four taxa the four triple values cannot distinguish the
-    three quartet topologies).  Exact on maps of the form
-    m_dissimilarity(tree, 3) with five or more taxa; four-taxon input
-    falls back to the lexicographically smallest pairing.  Only the
-    topology is inferred; branch lengths are reported as zero.
+    (delta(x,i,j) + delta(y,i,j)) / 2.  The triple array is then no
+    longer an exact 3-map (every z-triple still carries half the two
+    pendant edges), but only its criterion is read: on r clusters a
+    shift c on every triple through z adds c to J(i,j) and 2c (r-2) to
+    R_i off z, c (r-2) to J(z,j) and c (r-2)(r-1) to R_z, so every entry
+    of (r-2) J(i,j) - (R_i + R_j) moves by -3c (r-2) and no pick
+    changes.  Pairwise distances from :func:`pairwise_from_3map`, carried
+    along with the (d(x,k) + d(y,k) - d(x,y)) / 2 reduction, resolve the
+    final quartet, where the triple criterion is constant across pairs
+    (four triple values cannot tell the three quartet topologies apart).
+    Exact on maps of the form m_dissimilarity(tree, 3) with five or more
+    taxa; four-taxon input falls back to the lexicographically smallest
+    pairing.  Only the topology is inferred; branch lengths are zero.
     """
     if delta_m.m != 3:
         raise ValueError("only 3-dissimilarity maps are supported")
@@ -511,38 +504,37 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
 
     tree = PhyloTree()
     node_of = {t: tree.add_node(label=t) for t in delta_m.taxa}
-    # clusters are named by their smallest member, the tie-breaking key;
-    # a join keeps the smaller name's row, so rows stay in name order
-    names = sorted(delta_m.taxa)
+    # clusters are named by their smallest member, the tie-breaking key
+    n, names = delta_m.size, sorted(delta_m.taxa)
     nodes = [node_of[t] for t in names]
     members, vals = _members(delta_m, names)
-    triples = np.zeros((len(names),) * 3)  # zero where indices repeat
+    triples = np.zeros((n, n, n))  # zero where indices repeat
     for i, j, k in permutations(members.T):
         triples[i, j, k] = vals
-    pairs = np.zeros((4, 4))  # on four taxa every pairing ties: take the smallest
-    lower = np.tri(len(names), dtype=bool)
-    if delta_m.size >= 5:
-        _, pairs = _sorted_values(pairwise_from_3map(delta_m))
+    # on four taxa every pairing ties, and zero pairs take the smallest
+    pairs = _sorted_values(pairwise_from_3map(delta_m))[1] if n > 4 else np.zeros((4, 4))
+    q, pair_sums = np.empty(n * n), np.empty(n * n)
 
-    while len(nodes) > 3:
+    for m in range(n, 3, -1):
+        t, p = triples[:m, :m, :m], pairs[:m, :m]
         # the quartet stage reads pairs, whose criterion picks a true cherry
-        m, joint = (3, triples.sum(axis=2)) if len(nodes) > 4 else (2, pairs)
-        a, b, _ = _cherry_pick(joint.sum(axis=1) / (m - 1), joint, m, names, lower)
+        a, b, _ = _pick_cherry(t.sum(axis=2) if m > 4 else p, names, q, pair_sums)
+        if names[a] > names[b]:
+            a, b = b, a
         hub = tree.add_node()
         tree.add_edge(nodes[a], hub, 0.0)
         tree.add_edge(nodes[b], hub, 0.0)
-        nodes[a] = hub
-        del nodes[b], names[b]
-        pendant = pairs[a, b]
-        merged = 0.5 * (triples[a] + triples[b])
+        merged = 0.5 * (t[a] + t[b])
         merged[a] = merged[:, a] = 0.0
         np.fill_diagonal(merged, 0.0)
-        triples[a] = triples[:, a] = triples[:, :, a] = merged
-        # pairs is exactly symmetric, so [a, a] = (0 + pendant - pendant) / 2 = 0
-        pairs[a] = pairs[:, a] = 0.5 * (pairs[a] + pairs[b] - pendant)
-        keep = np.delete(np.arange(len(pairs)), b)
-        triples = triples[np.ix_(keep, keep, keep)]
-        pairs = pairs[np.ix_(keep, keep)]
+        t[a] = t[:, a] = t[:, :, a] = merged
+        # p is exactly symmetric, so [a, a] = (0 + p[a, b] - p[a, b]) / 2 = 0
+        p[a] = p[:, a] = 0.5 * (p[a] + p[b] - p[a, b])
+        t[b], t[:, b], t[:, :, b] = t[m - 1], t[:, m - 1], t[:, :, m - 1]
+        p[b], p[:, b] = p[m - 1], p[:, m - 1]
+        nodes[a] = hub
+        nodes[b], names[b] = nodes[m - 1], names[m - 1]
+        del nodes[m - 1], names[m - 1]
 
     hub = tree.add_node()
     for node in nodes:
@@ -574,7 +566,7 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     # pinned rest as ``combinations`` visits it: each slice is one block
     pairs = list(combinations(range(m), 2))
     free = np.concatenate([members[:, pair] for pair in pairs])
-    pinned = np.concatenate([np.delete(members, pair, axis=1) for pair in pairs])
+    pinned = np.concatenate([members[:, ~np.isin(np.arange(m), pair)] for pair in pairs])
     # the pinned positions read as one base-n number
     order = np.argsort(pinned @ n ** np.arange(m - 3, -1, -1), kind="stable")
     free, vals = free[order], np.tile(vals, len(pairs))[order]

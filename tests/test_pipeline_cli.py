@@ -14,6 +14,7 @@ from phylokit.formats import (
     bundled_reference_tree,
     format_distance_matrix,
     format_m_dissimilarity,
+    pair_params_from_json,
     read_bundled,
     read_fasta,
 )
@@ -417,6 +418,35 @@ def test_cli_align_subcommands(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"vertices", "witnesses"}
     assert len(payload["vertices"]) == len(payload["witnesses"])
+
+
+def test_cli_align_prob_sweeps_the_grid_once(tmp_path, capsys, monkeypatch):
+    from phylokit import pairhmm
+
+    params = {
+        "S": [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.3, 0.2, 0.5]],
+        "tM": [[0.1, 0.05, 0.05, 0.05] for _ in range(4)],
+        "tI": [0.25, 0.25, 0.25, 0.25],
+        "tD": [0.25, 0.25, 0.25, 0.25],
+    }
+    ppath = tmp_path / "pair.json"
+    ppath.write_text(json.dumps(params))
+    sweeps = []
+    sweep = pairhmm._sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(pairhmm, "_sweep", counted)
+    argv = ["align", "prob", "--params", str(ppath), "--seq1", "ACGTA", "--seq2", "GCA"]
+    assert main(argv) == 0
+    assert len(sweeps) == 1
+    p = pair_params_from_json(ppath.read_text())
+    assert json.loads(capsys.readouterr().out) == {
+        "probability": pairhmm.pair_probability(p, "ACGTA", "GCA"),
+        "logProbability": pairhmm.log_pair_probability(p, "ACGTA", "GCA"),
+    }
 
 
 def test_cli_align_enumerate_a_long_word(capsys):

@@ -966,6 +966,58 @@ def test_generalized_cherry_matches_the_dict_sums():
     assert compared >= 160
 
 
+def test_generalized_cherry_is_the_nj_criterion_on_the_pair_sums():
+    # with J(x,y) the sum over subsets holding x and y and R its row sums,
+    # Q = ((n-2) J(x,y) - (R_x + R_y)) / (m-1); the bound is relative to
+    # the table's largest entry, as entries near zero cancel
+    for m in (2, 3, 4):
+        for family, md in _m_map_cases(m, 13100 + 100 * m, 30, (m + 1, 11)):
+            taxa, n = sorted(md.taxa), md.size
+            joint = {}
+            for x, y in combinations(taxa, 2):
+                joint[x, y] = joint[y, x] = sum(
+                    v for k, v in md.values.items() if x in k and y in k
+                )
+            row = {x: sum(joint[x, y] for y in taxa if y != x) for x in taxa}
+            want = {
+                (x, y): ((n - 2) * joint[x, y] - (row[x] + row[y])) / (m - 1)
+                for x, y in combinations(taxa, 2)
+            }
+            _, table = generalized_nj_cherry(md)
+            assert list(table) == list(want)
+            scale = max(abs(v) for v in want.values())
+            for key, v in want.items():
+                assert abs(table[key] - v) <= 1e-12 * scale, (family, m, key)
+
+
+def test_generalized_nj_joins_at_the_last_active_slot(monkeypatch):
+    """The two edge cases of the in-place join, each against the dict
+    joins: a first cherry holding the alphabetically last taxon, whose
+    slot is the last active one, and a join whose smaller-named member
+    sits in the last active slot, so the merged cluster is written there
+    and then moved into the other member's slot."""
+    import phylokit.treespace as treespace
+
+    picks = []  # (active clusters, slot of the smaller name, the other slot)
+    pick = treespace._pick_cherry
+
+    def recorded(d, keys, q, pair_sums):
+        a, b, r = pick(d, keys, q, pair_sums)
+        picks.append((len(d), *sorted((a, b), key=keys.__getitem__)))
+        return a, b, r
+
+    monkeypatch.setattr(treespace, "_pick_cherry", recorded)
+    for seed, n, hit in (
+        (13002, 7, lambda: picks[0][2] == n - 1),
+        (13021, 8, lambda: any(m > 4 and a == m - 1 for m, a, _ in picks)),
+    ):
+        picks.clear()
+        md = m_dissimilarity(random_tree(seed, n), 3)
+        got = generalized_neighbor_join(md)
+        assert hit(), picks
+        assert emit_newick(got) == emit_newick(_loop_generalized_neighbor_join(md))
+
+
 def test_pairwise_from_3map_matches_the_subset_scans():
     for family, md in _m_map_cases(3, 11500, 60, (5, 16)):
         want = _loop_pairwise_from_3map(md)
