@@ -262,7 +262,8 @@ def _pick_cherry(d: np.ndarray, keys, q: np.ndarray, pair_sums: np.ndarray):
     """Arg-min (a, b) of the cherry criterion (m-2) d(i,j) - (r_i + r_j) on
     an m x m table d, and d's row sums r.  The criterion stays in the flat
     buffer ``q``'s first m*m entries with an inf diagonal (bit-symmetric
-    where d is); exact ties go to the smallest sorted pair of ``keys``."""
+    where d is); exact ties go to the smallest sorted pair of ``keys``,
+    as a < b where d is bit-symmetric."""
     m = len(d)
     r = d.sum(axis=1)
     crit, sums = q[: m * m].reshape(m, m), pair_sums[: m * m].reshape(m, m)
@@ -417,15 +418,15 @@ def _members(delta_m: MDissimilarityMap, taxa) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subset_sums(delta_m: MDissimilarityMap) -> np.ndarray:
-    """Sum of the values of every subset containing each taxon pair (zero
-    diagonal), in the map's taxon order.  Row i sums to m-1 times the sum
-    over the subsets containing i."""
+    """Sum of the values of every subset containing each taxon pair, in
+    the map's taxon order: exactly symmetric, with a zero diagonal.  Row i
+    sums to m-1 times the sum over the subsets containing i."""
     n, m = delta_m.size, delta_m.m
     members, vals = _members(delta_m, delta_m.taxa)
     joint = np.zeros((n, n))
-    for a, b in permutations(range(m), 2):
+    for a, b in combinations(range(m), 2):
         np.add.at(joint, (members[:, a], members[:, b]), vals)
-    return joint
+    return joint + joint.T
 
 
 def generalized_nj_cherry(delta_m: MDissimilarityMap):
@@ -446,11 +447,10 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
     order = sorted(range(n), key=taxa.__getitem__)
     names = [taxa[i] for i in order]
     joint, q = _subset_sums(delta_m)[np.ix_(order, order)], np.empty(n * n)
-    # joint is symmetric in value only, so the pick may lie in either triangle
     a, b, _ = _pick_cherry(joint, names, q, np.empty(n * n))
     q = q.reshape(n, n) / (m - 1)
     table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
-    return (names[min(a, b)], names[max(a, b)]), table
+    return (names[a], names[b]), table
 
 
 def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
@@ -566,7 +566,7 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     # pinned rest as ``combinations`` visits it: each slice is one block
     pairs = list(combinations(range(m), 2))
     free = np.concatenate([members[:, pair] for pair in pairs])
-    pinned = np.concatenate([members[:, ~np.isin(np.arange(m), pair)] for pair in pairs])
+    pinned = np.concatenate([np.delete(members, pair, axis=1) for pair in pairs])
     # the pinned positions read as one base-n number
     order = np.argsort(pinned @ n ** np.arange(m - 3, -1, -1), kind="stable")
     free, vals = free[order], np.tile(vals, len(pairs))[order]

@@ -957,21 +957,9 @@ def test_generalized_cherry_matches_the_dict_sums():
             scale = max(abs(v) for v in want.values())
             for key, v in want.items():
                 assert abs(table[key] - v) <= 1e-9 * scale, (family, m)
-            # dyadic lengths make every sum exact, so tied pairs are
-            # broken identically; elsewhere a near tie may flip by roundoff
-            low = sorted(want.values())
-            if family == "equal" or low[1] - low[0] > 1e-9 * scale:
-                assert pair == want_pair, (family, m)
-                compared += 1
-    assert compared >= 160
-
-
-def test_generalized_cherry_is_the_nj_criterion_on_the_pair_sums():
-    # with J(x,y) the sum over subsets holding x and y and R its row sums,
-    # Q = ((n-2) J(x,y) - (R_x + R_y)) / (m-1); the bound is relative to
-    # the table's largest entry, as entries near zero cancel
-    for m in (2, 3, 4):
-        for family, md in _m_map_cases(m, 13100 + 100 * m, 30, (m + 1, 11)):
+            # with J(x,y) the sum over subsets holding x and y and R its row
+            # sums, Q = ((n-2) J(x,y) - (R_x + R_y)) / (m-1); the bound is
+            # relative to the largest entry, as entries near zero cancel
             taxa, n = sorted(md.taxa), md.size
             joint = {}
             for x, y in combinations(taxa, 2):
@@ -979,15 +967,16 @@ def test_generalized_cherry_is_the_nj_criterion_on_the_pair_sums():
                     v for k, v in md.values.items() if x in k and y in k
                 )
             row = {x: sum(joint[x, y] for y in taxa if y != x) for x in taxa}
-            want = {
-                (x, y): ((n - 2) * joint[x, y] - (row[x] + row[y])) / (m - 1)
-                for x, y in combinations(taxa, 2)
-            }
-            _, table = generalized_nj_cherry(md)
-            assert list(table) == list(want)
-            scale = max(abs(v) for v in want.values())
-            for key, v in want.items():
-                assert abs(table[key] - v) <= 1e-12 * scale, (family, m, key)
+            for x, y in combinations(taxa, 2):
+                nj = ((n - 2) * joint[x, y] - (row[x] + row[y])) / (m - 1)
+                assert abs(table[x, y] - nj) <= 1e-12 * scale, (family, m, x, y)
+            # dyadic lengths make every sum exact, so tied pairs are
+            # broken identically; elsewhere a near tie may flip by roundoff
+            low = sorted(want.values())
+            if family == "equal" or low[1] - low[0] > 1e-9 * scale:
+                assert pair == want_pair, (family, m)
+                compared += 1
+    assert compared >= 160
 
 
 def test_generalized_nj_joins_at_the_last_active_slot(monkeypatch):
