@@ -230,7 +230,9 @@ def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
     data = json.loads(text)
     try:
         taxa = _json_taxa(data)
-        m = int(data["m"])
+        m = data["m"]
+        if type(m) is not int:  # not a float, a string or a bool
+            raise ValueError(f"m must be a JSON integer, got {m!r}")
         values = {}
         for key, v in data["values"].items():
             subset = frozenset(key.split(","))

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import warnings
 from bisect import insort
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from dataclasses import dataclass, field
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -361,6 +361,7 @@ class MDissimilarityMap:
     taxa: tuple[str, ...]
     m: int
     values: dict
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taxa = tuple(self.taxa)
@@ -370,16 +371,19 @@ class MDissimilarityMap:
         if not 2 <= self.m <= len(taxa):
             raise ValueError(f"m must lie in [2, {len(taxa)}], got {self.m}")
         values = {frozenset(k): float(v) for k, v in self.values.items()}
-        for subset in combinations(taxa, self.m):
-            if frozenset(subset) not in values:
-                raise ValueError(f"missing value for subset {sorted(subset)}")
-        for k in values:
-            if len(k) != self.m or not k <= taxon_set:
-                raise ValueError(f"bad subset key {sorted(k)}")
-        if not np.isfinite(list(values.values())).all():
+        try:  # the one layout of the values: the rows of _subsets(n, m)
+            array = np.array([values[frozenset(s)] for s in combinations(taxa, self.m)])
+        except KeyError as exc:
+            raise ValueError(f"missing value for subset {sorted(exc.args[0])}") from None
+        if len(values) > len(array):  # a key beyond the C(n, m) subsets
+            bad = next(k for k in values if len(k) != self.m or not k <= taxon_set)
+            raise ValueError(f"bad subset key {sorted(bad)}")
+        if not np.isfinite(array).all():
             raise ValueError("m-dissimilarity values must be finite (not NaN or inf)")
+        array.setflags(write=False)
         object.__setattr__(self, "taxa", taxa)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_array", array)
 
     @property
     def size(self) -> int:
@@ -388,7 +392,17 @@ class MDissimilarityMap:
     def get(self, *taxa: str) -> float:
         if len(taxa) != self.m or len(set(taxa)) != self.m:
             raise ValueError(f"need {self.m} distinct taxa, got {taxa!r}")
-        return self.values[frozenset(taxa)]
+        try:
+            return self.values[frozenset(taxa)]
+        except KeyError:
+            unknown = next(t for t in taxa if t not in self.taxa)
+            raise KeyError(f"unknown taxon {unknown!r}") from None
+
+
+def _subsets(n: int, m: int) -> np.ndarray:
+    """Every m-subset of range(n), one ascending row each, in combinations order."""
+    rows = chain.from_iterable(combinations(range(n), m))
+    return np.fromiter(rows, dtype=np.intp).reshape(-1, m)
 
 
 def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
@@ -401,7 +415,7 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
     taxa, sides, lengths = _edge_sides(tree)
     if not 2 <= m <= len(taxa):
         raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
-    members = np.array(list(combinations(range(len(taxa)), m)), dtype=np.intp)
+    members = _subsets(len(taxa), m)
     totals = np.zeros(len(members))
     for side, ln in zip(sides, lengths.tolist()):  # this order fixes the float sums
         hits = side[members].sum(axis=1)
@@ -410,19 +424,12 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
     return MDissimilarityMap(taxa=taxa, m=m, values=values)
 
 
-def _members(delta_m: MDissimilarityMap, taxa) -> tuple[np.ndarray, np.ndarray]:
-    """(subsets, m) positions in ``taxa`` of every subset's members, and values."""
-    pos = {t: i for i, t in enumerate(taxa)}
-    members = np.array([[pos[t] for t in k] for k in delta_m.values], dtype=np.intp)
-    return members, np.array(list(delta_m.values.values()))
-
-
 def _subset_sums(delta_m: MDissimilarityMap) -> np.ndarray:
     """Sum of the values of every subset containing each taxon pair, in
     the map's taxon order: exactly symmetric, with a zero diagonal.  Row i
     sums to m-1 times the sum over the subsets containing i."""
     n, m = delta_m.size, delta_m.m
-    members, vals = _members(delta_m, delta_m.taxa)
+    members, vals = _subsets(n, m), delta_m._array
     joint = np.zeros((n, n))
     for a, b in combinations(range(m), 2):
         np.add.at(joint, (members[:, a], members[:, b]), vals)
@@ -466,7 +473,7 @@ def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
         raise ValueError("expected a 3-dissimilarity map")
     if n < 5:
         raise ValueError("pairwise inversion needs at least 5 taxa")
-    total = sum(md.values.values())  # = (n-2)/2 * sum of all pairwise d
+    total = sum(md._array.tolist())  # = (n-2)/2 * sum of all pairwise d
     all_pairs_sum = 2.0 * total / (n - 2)
     joint = _subset_sums(md)
     # joint's row sums: ((n-3) * r_t + all_pairs_sum), twice the triples through t
@@ -480,7 +487,7 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     """Tree topology from a 3-dissimilarity map by repeated cherry
     picking: neighbor joining on J(i,j) = sum over k of delta(i,j,k)
     (see :func:`generalized_nj_cherry`), in place as :func:`neighbor_join`
-    runs, with the merged cluster in its smaller-named member's slot.
+    runs: slots in declared taxon order, merging into the smaller name's slot.
 
     Joining a cherry (x, y) into z replaces triple values by the average
     (delta(x,i,j) + delta(y,i,j)) / 2.  The triple array is then no
@@ -503,16 +510,14 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
         raise ValueError("need at least 4 taxa")
 
     tree = PhyloTree()
-    node_of = {t: tree.add_node(label=t) for t in delta_m.taxa}
+    nodes = [tree.add_node(label=t) for t in delta_m.taxa]
     # clusters are named by their smallest member, the tie-breaking key
-    n, names = delta_m.size, sorted(delta_m.taxa)
-    nodes = [node_of[t] for t in names]
-    members, vals = _members(delta_m, names)
+    n, names = delta_m.size, list(delta_m.taxa)
     triples = np.zeros((n, n, n))  # zero where indices repeat
-    for i, j, k in permutations(members.T):
-        triples[i, j, k] = vals
+    for i, j, k in permutations(_subsets(n, 3).T):
+        triples[i, j, k] = delta_m._array
     # on four taxa every pairing ties, and zero pairs take the smallest
-    pairs = _sorted_values(pairwise_from_3map(delta_m))[1] if n > 4 else np.zeros((4, 4))
+    pairs = np.array(pairwise_from_3map(delta_m).values) if n > 4 else np.zeros((4, 4))
     q, pair_sums = np.empty(n * n), np.empty(n * n)
 
     for m in range(n, 3, -1):
@@ -560,8 +565,7 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     n, m = delta_m.size, delta_m.m
     if n < m + 2:
         return MTreeVerdict(True, vacuous=True)
-    members, vals = _members(delta_m, delta_m.taxa)
-    members.sort(axis=1)
+    members, vals = _subsets(n, m), delta_m._array
     # every subset once per choice of its two free members, ordered by the
     # pinned rest as ``combinations`` visits it: each slice is one block
     pairs = list(combinations(range(m), 2))

@@ -287,6 +287,16 @@ def test_m_dissimilarity_json_validation():
         )
 
 
+def test_m_dissimilarity_reader_refuses_an_m_that_is_not_a_json_integer():
+    values = {",".join(s): 1.0 for s in combinations("abcd", 3)}
+    for m, shown in ((3.9, "3.9"), ("3", "'3'"), (True, "True"), (3.0, "3.0")):
+        text = json.dumps({"taxa": list("abcd"), "m": m, "values": values})
+        with pytest.raises(ValueError, match=f"m must be a JSON integer, got {shown}$"):
+            parse_m_dissimilarity(text)
+    text = json.dumps({"taxa": list("abcd"), "m": 3, "values": values})
+    assert parse_m_dissimilarity(text).m == 3
+
+
 def test_m_dissimilarity_reader_refuses_a_subset_named_twice():
     values = {",".join(s): 1.0 for s in combinations("abcd", 3)}
     for key in ("c,b,a", "b,a,c"):

@@ -353,6 +353,14 @@ def test_cli_tree_mtree_prints_the_witness_and_the_vacuous_flag(tmp_path, capsys
     )
 
 
+def test_cli_tree_mtree_refuses_a_fractional_m(tmp_path, capsys):
+    values = {",".join(s): 1.0 for s in itertools.combinations("abcd", 3)}
+    path = tmp_path / "m35.json"
+    path.write_text(json.dumps({"taxa": list("abcd"), "m": 3.5, "values": values}))
+    assert main(["tree", "mtree", "--input", str(path)]) == 2
+    assert "got 3.5" in capsys.readouterr().err
+
+
 def test_cli_dist_round_trips_through_nj(tmp_path, capsys):
     assert main(["dist", "--alignment", _toy_alignment_path()]) == 0
     text = capsys.readouterr().out

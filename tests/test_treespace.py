@@ -2,6 +2,8 @@
 subtree-length maps with the generalized cherry criterion, the six-taxon
 linear relations, and topology counting."""
 
+import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +13,8 @@ from phylokit.formats import (
     bundled_distance_matrix,
     bundled_reference_tree,
     emit_newick,
+    format_m_dissimilarity,
+    parse_m_dissimilarity,
     parse_newick,
 )
 from phylokit.treespace import (
@@ -1031,6 +1035,63 @@ def test_generalized_nj_matches_the_dict_joins():
             tied += q[0] == q[1]
     assert families == {"tree": 200, "equal": 200, "uniform": 200}
     assert tied >= 30
+
+
+def _m_map_three_ways(md, g):
+    """``md``, the map rebuilt from its dict in reversed insertion order,
+    and its JSON round trip with the subset keys shuffled."""
+    reversed_map = MDissimilarityMap(md.taxa, md.m, dict(reversed(md.values.items())))
+    data = json.loads(format_m_dissimilarity(md))
+    items = list(data["values"].items())
+    data["values"] = dict(items[i] for i in g.permutation(len(items)))
+    return md, reversed_map, parse_m_dissimilarity(json.dumps(data))
+
+
+def test_m_map_layout_is_the_same_however_the_map_is_built():
+    checked = set()
+    for m in (3, 4):
+        for family, md in _m_map_cases(m, 12300 + 100 * m, 30, (m + 2, 11)):
+            maps = _m_map_three_ways(md, rng(12300 + md.size))
+            want = [md.values[frozenset(s)] for s in combinations(md.taxa, m)]
+            outputs = []
+            for other in maps:
+                assert other._array.tolist() == want, (family, m)
+                with pytest.raises(ValueError, match="read-only"):
+                    other._array[0] = 1.0
+                verdict = check_m_tree(other)
+                got = [generalized_nj_cherry(other), verdict.ok, verdict.witness]
+                if m == 3:
+                    got += [
+                        pairwise_from_3map(other).values.tolist(),
+                        emit_newick(generalized_neighbor_join(other)),
+                    ]
+                outputs.append(got)
+            assert outputs[0] == outputs[1] == outputs[2], (family, m)
+            checked.add((m, family, verdict.ok))
+    assert {(m, "tree", True) for m in (3, 4)} <= checked
+    assert {(m, "uniform", False) for m in (3, 4)} <= checked
+
+
+def test_m_map_constructor_names_the_missing_or_bad_subset():
+    values = {frozenset(s): 1.0 for s in combinations("abcde", 3)}
+    holed = {k: v for k, v in values.items() if k != set("ace")}
+    with pytest.raises(ValueError, match=r"missing value for subset \['a', 'c', 'e'\]"):
+        MDissimilarityMap(tuple("abcde"), 3, holed)
+    for key in ("ab", "abz", "abcd"):
+        with pytest.raises(ValueError, match=re.escape(f"bad subset key {sorted(key)}")):
+            MDissimilarityMap(tuple("abcde"), 3, {frozenset(key): 1.0, **values})
+
+
+def test_m_map_get_names_the_first_unknown_taxon():
+    md = m_dissimilarity(random_tree(12400, 5), 3)
+    a, b = md.taxa[:2]
+    assert md.get(b, a, md.taxa[4]) == md.values[frozenset((a, b, md.taxa[4]))]
+    with pytest.raises(KeyError, match="unknown taxon 'zz'"):
+        md.get(a, b, "zz")
+    with pytest.raises(KeyError, match="unknown taxon 'yy'"):
+        md.get("yy", a, "zz")
+    with pytest.raises(ValueError, match="need 3 distinct taxa"):
+        md.get(a, a, "zz")
 
 
 def test_generalized_nj_recovers_topology_on_30_to_40_taxa():
