@@ -9,6 +9,7 @@ import json
 import math
 import re
 from importlib import resources
+from itertools import combinations
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .alphabet import ASCII_UPPER
 from .hmm import HmmParams
 from .pairhmm import PairHmmParams
 from .trees import PhyloTree
-from .treespace import DissimilarityMap, MDissimilarityMap
+from .treespace import DissimilarityMap, MDissimilarityMap, _subset_count
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +226,19 @@ def format_distance_matrix(dm: DissimilarityMap, style: str = "phylip") -> str:
 
 
 def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
-    """JSON 3-taxon-subset maps: {"taxa": [...], "m": 3,
-    "values": {"a,b,c": 1.25, ...}} with comma-joined subset keys."""
+    """JSON m-subset maps, {"taxa": [...], "m": 3, "values": {"a,b,c": 1.25, ...}}:
+    one JSON number per m-subset of the taxa, under its comma-joined key."""
     data = json.loads(text)
     try:
         taxa = _json_taxa(data)
         m = data["m"]
         if type(m) is not int:  # not a float, a string or a bool
             raise ValueError(f"m must be a JSON integer, got {m!r}")
+        _subset_count(taxa, m)
         values = {}
         for key, v in data["values"].items():
+            if type(v) not in (int, float):  # not a string, a bool, null or a list
+                raise ValueError(f"value for subset key {key!r} must be a JSON number, got {v!r}")
             subset = frozenset(key.split(","))
             if subset in values:
                 raise ValueError(
@@ -244,7 +248,13 @@ def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
             values[subset] = float(v)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"m-dissimilarity JSON needs taxa, m, values: {exc}") from None
-    return MDissimilarityMap(taxa=taxa, m=m, values=values)
+    try:  # the map's layout: one value per subset, in combinations order
+        ordered = [values.pop(frozenset(s)) for s in combinations(taxa, m)]
+    except KeyError as exc:
+        raise ValueError(f"missing value for subset {sorted(exc.args[0])}") from None
+    if values:  # keys left over name no m-subset of the taxa
+        raise ValueError(f"bad subset key {sorted(next(iter(values)))}")
+    return MDissimilarityMap(taxa=taxa, m=m, values=ordered)
 
 
 def format_m_dissimilarity(md: MDissimilarityMap) -> str:
@@ -256,13 +266,9 @@ def format_m_dissimilarity(md: MDissimilarityMap) -> str:
             f"taxon label {bad[0]!r} cannot be written as an m-dissimilarity "
             "key: subset keys join labels with ','"
         )
-    values = {
-        ",".join(sorted(subset)): value for subset, value in md.values.items()
-    }
-    return json.dumps(
-        {"taxa": list(md.taxa), "m": md.m, "values": dict(sorted(values.items()))},
-        indent=2,
-    )
+    keys = (",".join(sorted(s)) for s in combinations(md.taxa, md.m))
+    values = dict(sorted(zip(keys, md.values.tolist())))  # the keys are distinct
+    return json.dumps({"taxa": list(md.taxa), "m": md.m, "values": values}, indent=2)
 
 
 # ---------------------------------------------------------------------------

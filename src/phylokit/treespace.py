@@ -6,9 +6,10 @@ linear relations cutting out tree-derived 3-maps on six taxa.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -23,10 +24,11 @@ _FOUR_POINT_SLACK = 1e-9
 # dissimilarity maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissimilarityMap:
     """Symmetric pairwise values on a declared taxon order, zero on the
-    diagonal.  Entries may be negative (dissimilarity, not metric)."""
+    diagonal.  Entries may be negative (dissimilarity, not metric).  Maps
+    compare and hash by identity: array fields have no elementwise ``==``."""
 
     taxa: tuple[str, ...]
     values: np.ndarray
@@ -353,37 +355,27 @@ def neighbor_join(delta: DissimilarityMap) -> PhyloTree:
 # m-dissimilarity maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MDissimilarityMap:
-    """One value per m-element subset of the taxa (order-free; repeated
-    taxa are outside the index set, matching a value of zero)."""
+    """One value per m-element subset of the taxa, as a read-only float
+    array in ``combinations(taxa, m)`` order.  Maps compare and hash by
+    identity: array fields have no elementwise ``==``."""
 
     taxa: tuple[str, ...]
     m: int
-    values: dict
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray
 
     def __post_init__(self):
         taxa = tuple(self.taxa)
-        taxon_set = set(taxa)
-        if len(taxon_set) != len(taxa):
-            raise ValueError("taxa must be distinct")
-        if not 2 <= self.m <= len(taxa):
-            raise ValueError(f"m must lie in [2, {len(taxa)}], got {self.m}")
-        values = {frozenset(k): float(v) for k, v in self.values.items()}
-        try:  # the one layout of the values: the rows of _subsets(n, m)
-            array = np.array([values[frozenset(s)] for s in combinations(taxa, self.m)])
-        except KeyError as exc:
-            raise ValueError(f"missing value for subset {sorted(exc.args[0])}") from None
-        if len(values) > len(array):  # a key beyond the C(n, m) subsets
-            bad = next(k for k in values if len(k) != self.m or not k <= taxon_set)
-            raise ValueError(f"bad subset key {sorted(bad)}")
-        if not np.isfinite(array).all():
+        count = _subset_count(taxa, self.m)
+        values = np.array(self.values, dtype=float)
+        if values.shape != (count,):
+            raise ValueError(f"expected {count} values, one per subset, got {values.shape}")
+        if not np.isfinite(values).all():
             raise ValueError("m-dissimilarity values must be finite (not NaN or inf)")
-        array.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "taxa", taxa)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_array", array)
 
     @property
     def size(self) -> int:
@@ -392,11 +384,22 @@ class MDissimilarityMap:
     def get(self, *taxa: str) -> float:
         if len(taxa) != self.m or len(set(taxa)) != self.m:
             raise ValueError(f"need {self.m} distinct taxa, got {taxa!r}")
-        try:
-            return self.values[frozenset(taxa)]
-        except KeyError:
-            unknown = next(t for t in taxa if t not in self.taxa)
-            raise KeyError(f"unknown taxon {unknown!r}") from None
+        unknown = [t for t in taxa if t not in self.taxa]
+        if unknown:
+            raise KeyError(f"unknown taxon {unknown[0]!r}")
+        # in combinations order, c_0 < ... < c_{m-1} has rank C(n,m) - 1 - sum C(n-1-c_i, m-i)
+        n, m, cs = self.size, self.m, sorted(map(self.taxa.index, taxa))
+        rank = math.comb(n, m) - 1 - sum(math.comb(n - 1 - c, m - i) for i, c in enumerate(cs))
+        return float(self.values[rank])
+
+
+def _subset_count(taxa: tuple[str, ...], m: int) -> int:
+    """C(n, m) for n distinct taxa and 2 <= m <= n; anything else is refused."""
+    if len(set(taxa)) != len(taxa):
+        raise ValueError("taxa must be distinct")
+    if not 2 <= m <= len(taxa):
+        raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
+    return math.comb(len(taxa), m)
 
 
 def _subsets(n: int, m: int) -> np.ndarray:
@@ -413,26 +416,23 @@ def m_dissimilarity(tree: PhyloTree, m: int) -> MDissimilarityMap:
     path-length map.
     """
     taxa, sides, lengths = _edge_sides(tree)
-    if not 2 <= m <= len(taxa):
-        raise ValueError(f"m must lie in [2, {len(taxa)}], got {m}")
+    _subset_count(taxa, m)
     members = _subsets(len(taxa), m)
     totals = np.zeros(len(members))
     for side, ln in zip(sides, lengths.tolist()):  # this order fixes the float sums
         hits = side[members].sum(axis=1)
         totals[(hits > 0) & (hits < m)] += ln
-    values = dict(zip(map(frozenset, combinations(taxa, m)), totals.tolist()))
-    return MDissimilarityMap(taxa=taxa, m=m, values=values)
+    return MDissimilarityMap(taxa=taxa, m=m, values=totals)
 
 
-def _subset_sums(delta_m: MDissimilarityMap) -> np.ndarray:
-    """Sum of the values of every subset containing each taxon pair, in
-    the map's taxon order: exactly symmetric, with a zero diagonal.  Row i
-    sums to m-1 times the sum over the subsets containing i."""
+def _subset_sums(delta_m: MDissimilarityMap, members: np.ndarray) -> np.ndarray:
+    """Sum of the values of every subset containing each taxon pair, from
+    the map's member rows ``_subsets(n, m)``: exactly symmetric, with a zero
+    diagonal.  Row i sums to m-1 times the sum over the subsets holding i."""
     n, m = delta_m.size, delta_m.m
-    members, vals = _subsets(n, m), delta_m._array
     joint = np.zeros((n, n))
     for a, b in combinations(range(m), 2):
-        np.add.at(joint, (members[:, a], members[:, b]), vals)
+        np.add.at(joint, (members[:, a], members[:, b]), delta_m.values)
     return joint + joint.T
 
 
@@ -453,29 +453,29 @@ def generalized_nj_cherry(delta_m: MDissimilarityMap):
         raise ValueError(f"need more taxa than the subset size ({n} <= {m})")
     order = sorted(range(n), key=taxa.__getitem__)
     names = [taxa[i] for i in order]
-    joint, q = _subset_sums(delta_m)[np.ix_(order, order)], np.empty(n * n)
+    joint, q = _subset_sums(delta_m, _subsets(n, m))[np.ix_(order, order)], np.empty(n * n)
     a, b, _ = _pick_cherry(joint, names, q, np.empty(n * n))
     q = q.reshape(n, n) / (m - 1)
     table = {(names[i], names[j]): float(q[i, j]) for i, j in combinations(range(n), 2)}
     return (names[a], names[b]), table
 
 
-def pairwise_from_3map(md: MDissimilarityMap) -> DissimilarityMap:
+def pairwise_from_3map(md: MDissimilarityMap, members=None) -> DissimilarityMap:
     """Pairwise distances implied by a tree-derived 3-map (n >= 5).
 
     With delta(i,j,k) = (d(i,j) + d(i,k) + d(j,k)) / 2, summing over the
     third taxon, over pairs through one taxon, and over all triples
     gives linear relations that invert to d.  On four taxa the map has a
-    two-dimensional kernel and no inverse exists.
+    two-dimensional kernel and no inverse exists.  ``members`` may pass in ``_subsets(n, 3)``.
     """
     n = md.size
     if md.m != 3:
         raise ValueError("expected a 3-dissimilarity map")
     if n < 5:
         raise ValueError("pairwise inversion needs at least 5 taxa")
-    total = sum(md._array.tolist())  # = (n-2)/2 * sum of all pairwise d
+    total = sum(md.values.tolist())  # = (n-2)/2 * sum of all pairwise d
     all_pairs_sum = 2.0 * total / (n - 2)
-    joint = _subset_sums(md)
+    joint = _subset_sums(md, _subsets(n, 3) if members is None else members)
     # joint's row sums: ((n-3) * r_t + all_pairs_sum), twice the triples through t
     row = (joint.sum(axis=1) - all_pairs_sum) / (n - 3)
     # joint_xy = ((n-4) * d(x,y) + r_x + r_y) / 2
@@ -513,11 +513,11 @@ def generalized_neighbor_join(delta_m: MDissimilarityMap) -> PhyloTree:
     nodes = [tree.add_node(label=t) for t in delta_m.taxa]
     # clusters are named by their smallest member, the tie-breaking key
     n, names = delta_m.size, list(delta_m.taxa)
-    triples = np.zeros((n, n, n))  # zero where indices repeat
-    for i, j, k in permutations(_subsets(n, 3).T):
-        triples[i, j, k] = delta_m._array
+    members, triples = _subsets(n, 3), np.zeros((n, n, n))  # zero where indices repeat
+    for i, j, k in permutations(members.T):
+        triples[i, j, k] = delta_m.values
     # on four taxa every pairing ties, and zero pairs take the smallest
-    pairs = np.array(pairwise_from_3map(delta_m).values) if n > 4 else np.zeros((4, 4))
+    pairs = np.array(pairwise_from_3map(delta_m, members).values) if n > 4 else np.zeros((4, 4))
     q, pair_sums = np.empty(n * n), np.empty(n * n)
 
     for m in range(n, 3, -1):
@@ -565,7 +565,7 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
     n, m = delta_m.size, delta_m.m
     if n < m + 2:
         return MTreeVerdict(True, vacuous=True)
-    members, vals = _subsets(n, m), delta_m._array
+    members, vals = _subsets(n, m), delta_m.values
     # every subset once per choice of its two free members, ordered by the
     # pinned rest as ``combinations`` visits it: each slice is one block
     pairs = list(combinations(range(m), 2))
@@ -579,10 +579,8 @@ def check_m_tree(delta_m: MDissimilarityMap) -> MTreeVerdict:
         i, j = free[start:start + block].T
         table = np.zeros((n, n))
         table[i, j] = table[j, i] = vals[start:start + block]
-        keep = np.ones(n, dtype=bool)
-        keep[list(fixed)] = False
-        rest = tuple(t for t, kept in zip(delta_m.taxa, keep) if kept)
-        induced = DissimilarityMap(rest, table[np.ix_(keep, keep)])
+        rest = [x for x in range(n) if x not in fixed]
+        induced = DissimilarityMap([delta_m.taxa[x] for x in rest], table[np.ix_(rest, rest)])
         for check in (check_metric, check_four_point):
             verdict = check(induced)
             if not verdict:
@@ -600,6 +598,8 @@ _GR36_EQUATIONS = (
     ((123, 345, 246, 156), (234, 135, 126, 456)),
     ((123, 345, 146, 256), (134, 235, 126, 456)),
 )
+# each code's position among the 20 values, in combinations order
+_GR36_RANKS = {int("".join(s)): r for r, s in enumerate(combinations("123456", 3))}
 
 
 def gr36_residuals(delta3: MDissimilarityMap) -> tuple[float, float, float, float, float]:
@@ -607,16 +607,11 @@ def gr36_residuals(delta3: MDissimilarityMap) -> tuple[float, float, float, floa
     map's declared order.  All five vanish on tree-derived 3-maps."""
     if delta3.size != 6 or delta3.m != 3:
         raise ValueError("expected a 3-dissimilarity map on six taxa")
-    taxa = delta3.taxa
-
-    def val(code: int) -> float:
-        digits = [int(c) - 1 for c in str(code)]
-        return delta3.values[frozenset(taxa[d] for d in digits)]
-
-    out = []
-    for lhs, rhs in _GR36_EQUATIONS:
-        out.append(sum(val(c) for c in lhs) - sum(val(c) for c in rhs))
-    return tuple(out)
+    vals = delta3.values.tolist()
+    return tuple(
+        sum(vals[_GR36_RANKS[c]] for c in lhs) - sum(vals[_GR36_RANKS[c]] for c in rhs)
+        for lhs, rhs in _GR36_EQUATIONS
+    )
 
 
 def schroder_count(n: int) -> int:
@@ -624,10 +619,7 @@ def schroder_count(n: int) -> int:
     double factorial 1 * 3 * 5 * ... * (2n - 5), exactly."""
     if n < 3:
         raise ValueError("need at least 3 taxa")
-    out = 1
-    for odd in range(1, 2 * n - 4, 2):
-        out *= odd
-    return out
+    return math.prod(range(1, 2 * n - 4, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import logging
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from phylokit.trees import PhyloTree
-from phylokit.treespace import random_binary_tree
+from phylokit.treespace import MDissimilarityMap, random_binary_tree
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -87,6 +88,18 @@ def caterpillar(n: int, seed: int, lengths=(0.001, 0.01)) -> PhyloTree:
     for i, host in enumerate(hosts):
         tree.add_edge(host, tree.add_node(label=f"c{i:05d}"), float(g.uniform(*lengths)))
     return tree
+
+def keyed_m_map(taxa, m: int, values: dict) -> MDissimilarityMap:
+    """The m-map on ``taxa`` whose value on each m-subset is
+    ``values[frozenset(subset)]``; keys naming no m-subset are ignored."""
+    taxa = tuple(taxa)
+    return MDissimilarityMap(taxa, m, [values[frozenset(s)] for s in combinations(taxa, m)])
+
+
+def m_map_dict(md: MDissimilarityMap) -> dict:
+    """frozenset subset -> value of an m-map, in ``combinations`` order."""
+    return dict(zip(map(frozenset, combinations(md.taxa, md.m)), md.values.tolist()))
+
 
 @pytest.fixture
 def fixed_rng():

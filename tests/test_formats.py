@@ -35,7 +35,7 @@ from phylokit.treespace import (
     tree_metric,
 )
 
-from conftest import caterpillar, random_tree, rng
+from conftest import caterpillar, keyed_m_map, random_tree, rng
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_m_dissimilarity_json_round_trip():
     md = m_dissimilarity(tree, 3)
     again = parse_m_dissimilarity(format_m_dissimilarity(md))
     assert again.taxa == md.taxa and again.m == 3
-    assert again.values == md.values
+    assert again.values.tolist() == md.values.tolist()
 
 
 def test_m_dissimilarity_json_validation():
@@ -297,6 +297,19 @@ def test_m_dissimilarity_reader_refuses_an_m_that_is_not_a_json_integer():
     assert parse_m_dissimilarity(text).m == 3
 
 
+def test_m_dissimilarity_reader_refuses_values_that_are_not_json_numbers():
+    values = {",".join(s): 1.0 for s in combinations("abcd", 3)}
+    cases = (("1.5", "'1.5'"), ("x", "'x'"), (True, "True"), (None, "None"), ([1.0], r"\[1.0\]"))
+    for v, shown in cases:
+        text = json.dumps({"taxa": list("abcd"), "m": 3, "values": {**values, "a,c,d": v}})
+        with pytest.raises(
+            ValueError, match=f"value for subset key 'a,c,d' must be a JSON number, got {shown}$"
+        ):
+            parse_m_dissimilarity(text)
+    text = json.dumps({"taxa": list("abcd"), "m": 3, "values": {**values, "a,c,d": 2}})
+    assert parse_m_dissimilarity(text).get("a", "c", "d") == 2.0
+
+
 def test_m_dissimilarity_reader_refuses_a_subset_named_twice():
     values = {",".join(s): 1.0 for s in combinations("abcd", 3)}
     for key in ("c,b,a", "b,a,c"):
@@ -307,9 +320,7 @@ def test_m_dissimilarity_reader_refuses_a_subset_named_twice():
 
 def test_m_dissimilarity_writer_refuses_labels_with_commas():
     taxa = ("a,b", "c", "d", "e")
-    md = MDissimilarityMap(
-        taxa=taxa, m=3, values={frozenset(s): 1.0 for s in combinations(taxa, 3)}
-    )
+    md = keyed_m_map(taxa, 3, {frozenset(s): 1.0 for s in combinations(taxa, 3)})
     with pytest.raises(ValueError, match="taxon label 'a,b' cannot be written"):
         format_m_dissimilarity(md)
 

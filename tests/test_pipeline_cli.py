@@ -39,7 +39,7 @@ from phylokit.evolution import simulate_leaf_sequences
 from phylokit.treespace import neighbor_join
 from phylokit.formats import parse_distance_matrix, parse_newick
 
-from conftest import rng
+from conftest import keyed_m_map, m_map_dict, rng
 
 
 def _strict_json(text):
@@ -317,36 +317,28 @@ def test_cli_tree_mtree_and_gr36(tmp_path, capsys):
 
     # restrict to six taxa for the linear-relation check
     sub = m_dissimilarity(tree, 3)
-    from phylokit.treespace import MDissimilarityMap
-
     keep = tuple(sorted(tree.taxa)[:6])
-    values = {k: v for k, v in sub.values.items() if k <= set(keep)}
     path6 = tmp_path / "m3-six.json"
-    path6.write_text(
-        format_m_dissimilarity(MDissimilarityMap(taxa=keep, m=3, values=values))
-    )
+    path6.write_text(format_m_dissimilarity(keyed_m_map(keep, 3, m_map_dict(sub))))
     assert main(["tree", "gr36", "--input", str(path6)]) == 0
     residuals = json.loads(capsys.readouterr().out)["residuals"]
     assert max(abs(r) for r in residuals) <= 1e-10
 
 
 def test_cli_tree_mtree_prints_the_witness_and_the_vacuous_flag(tmp_path, capsys):
-    from phylokit.treespace import MDissimilarityMap
-
     taxa = tuple("abcdef")
     values = {frozenset(s): 1.0 for s in itertools.combinations(taxa, 3)}
     values[frozenset("abc")] = 5.0  # breaks the triangle pinned at a
     bad = tmp_path / "bad.json"
-    bad.write_text(format_m_dissimilarity(MDissimilarityMap(taxa, 3, values)))
+    bad.write_text(format_m_dissimilarity(keyed_m_map(taxa, 3, values)))
     assert main(["tree", "mtree", "--input", str(bad)]) == 0
     assert capsys.readouterr().out == (
         '{"isMTree": false, "vacuous": false, "witness": [["a"], ["b", "d", "c"]]}\n'
     )
 
     four = taxa[:4]  # below m + 2 taxa every 3-map passes vacuously
-    small = {k: v for k, v in values.items() if k <= set(four)}
     path = tmp_path / "four.json"
-    path.write_text(format_m_dissimilarity(MDissimilarityMap(four, 3, small)))
+    path.write_text(format_m_dissimilarity(keyed_m_map(four, 3, values)))
     assert main(["tree", "mtree", "--input", str(path)]) == 0
     assert capsys.readouterr().out == (
         '{"isMTree": true, "vacuous": true, "witness": null}\n'
@@ -359,6 +351,17 @@ def test_cli_tree_mtree_refuses_a_fractional_m(tmp_path, capsys):
     path.write_text(json.dumps({"taxa": list("abcd"), "m": 3.5, "values": values}))
     assert main(["tree", "mtree", "--input", str(path)]) == 2
     assert "got 3.5" in capsys.readouterr().err
+
+
+def test_cli_tree_mtree_names_the_key_of_a_value_that_is_not_a_number(tmp_path, capsys):
+    values = {",".join(s): 1.0 for s in itertools.combinations("abcd", 3)}
+    values["a,b,d"] = "x"
+    path = tmp_path / "mx.json"
+    path.write_text(json.dumps({"taxa": list("abcd"), "m": 3, "values": values}))
+    assert main(["tree", "mtree", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value for subset key 'a,b,d' must be a JSON number, got 'x'" in captured.err
 
 
 def test_cli_dist_round_trips_through_nj(tmp_path, capsys):

@@ -3,6 +3,7 @@ subtree-length maps with the generalized cherry criterion, the six-taxon
 linear relations, and topology counting."""
 
 import json
+import math
 import re
 from itertools import combinations
 
@@ -38,7 +39,7 @@ from phylokit.treespace import (
     tree_metric,
 )
 
-from conftest import caterpillar, random_tree, rng
+from conftest import caterpillar, keyed_m_map, m_map_dict, random_tree, rng
 
 
 def _dm(taxa, entries):
@@ -352,7 +353,7 @@ def test_generalized_cherry_at_m2_matches_pairwise_criterion():
         for i, a in enumerate(taxa)
         for b in taxa[i + 1:]
     }
-    md = MDissimilarityMap(taxa=taxa, m=2, values=md_values)
+    md = keyed_m_map(taxa, 2, md_values)
     _, table = generalized_nj_cherry(md)
     r = dm.values.sum(axis=1)
     for (a, b), q in table.items():
@@ -370,8 +371,7 @@ def test_generalized_cherry_property_random_trees():
 
 
 def test_generalized_cherry_needs_more_taxa_than_subset_size():
-    values = {frozenset("abc"): 1.0}
-    md = MDissimilarityMap(taxa=("a", "b", "c"), m=3, values=values)
+    md = MDissimilarityMap(taxa=("a", "b", "c"), m=3, values=[1.0])
     with pytest.raises(ValueError, match="more taxa"):
         generalized_nj_cherry(md)
 
@@ -414,7 +414,7 @@ def test_generalized_nj_stable_under_tiny_noise():
     noisy = MDissimilarityMap(
         taxa=md.taxa,
         m=3,
-        values={k: v + float(g.random() - 0.5) * 2e-6 for k, v in md.values.items()},
+        values=[v + float(g.random() - 0.5) * 2e-6 for v in md.values.tolist()],
     )
     rebuilt = generalized_neighbor_join(noisy)
     assert splits_of_tree(rebuilt).as_set() == splits_of_tree(tree).as_set()
@@ -441,7 +441,7 @@ def test_random_3_maps_are_rejected_with_witness():
     from itertools import combinations
 
     values = {frozenset(s): float(g.random() * 10) for s in combinations(taxa, 3)}
-    verdict = check_m_tree(MDissimilarityMap(taxa=taxa, m=3, values=values))
+    verdict = check_m_tree(keyed_m_map(taxa, 3, values))
     assert not verdict
     assert verdict.witness is not None
 
@@ -479,7 +479,7 @@ def test_gr36_residuals_nonzero_on_random_maps():
     hits = 0
     for _ in range(50):
         values = {frozenset(s): float(g.random() * 5) for s in combinations(taxa, 3)}
-        residuals = gr36_residuals(MDissimilarityMap(taxa=taxa, m=3, values=values))
+        residuals = gr36_residuals(keyed_m_map(taxa, 3, values))
         if max(abs(r) for r in residuals) > 1e-6:
             hits += 1
     assert hits == 50
@@ -491,10 +491,8 @@ def test_gr36_residuals_invariant_under_taxon_weight_shifts():
     md = m_dissimilarity(tree, 3)
     base = gr36_residuals(md)
     weights = {t: float(g.random() * 3) for t in md.taxa}
-    shifted = MDissimilarityMap(
-        taxa=md.taxa,
-        m=3,
-        values={k: v + sum(weights[t] for t in k) for k, v in md.values.items()},
+    shifted = keyed_m_map(
+        md.taxa, 3, {k: v + sum(weights[t] for t in k) for k, v in m_map_dict(md).items()}
     )
     got = gr36_residuals(shifted)
     assert np.allclose(got, base, atol=1e-9)
@@ -763,7 +761,7 @@ def test_m_dissimilarity_map_rejects_non_finite_values():
         values = {frozenset(s): 1.0 for s in combinations(taxa, 3)}
         values[frozenset("abd")] = bad
         with pytest.raises(ValueError, match="finite"):
-            MDissimilarityMap(taxa=taxa, m=3, values=values)
+            keyed_m_map(taxa, 3, values)
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +783,11 @@ def _loop_m_dissimilarity(tree, m):
 
 
 def _loop_generalized_nj_cherry(delta_m):
-    taxa = delta_m.taxa
+    taxa, values = delta_m.taxa, m_map_dict(delta_m)
     n, m = len(taxa), delta_m.m
     single = {
         t: sum(
-            delta_m.values[frozenset((t,) + y)]
+            values[frozenset((t,) + y)]
             for y in combinations([s for s in taxa if s != t], m - 1)
         )
         for t in taxa
@@ -797,26 +795,24 @@ def _loop_generalized_nj_cherry(delta_m):
     table = {}
     for i, j in combinations(sorted(taxa), 2):
         rest = [t for t in taxa if t not in (i, j)]
-        joint = sum(
-            delta_m.values[frozenset((i, j) + y)] for y in combinations(rest, m - 2)
-        )
+        joint = sum(values[frozenset((i, j) + y)] for y in combinations(rest, m - 2))
         table[(i, j)] = (n - 2) / (m - 1) * joint - single[i] - single[j]
     pair = min(table, key=lambda p: (table[p], p))
     return pair, table
 
 
 def _loop_pairwise_from_3map(md):
-    taxa = md.taxa
+    taxa, keyed = md.taxa, m_map_dict(md)
     n = len(taxa)
-    all_pairs_sum = 2.0 * sum(md.values.values()) / (n - 2)
+    all_pairs_sum = 2.0 * sum(keyed.values()) / (n - 2)
     row = {}
     for t in taxa:
-        acc = sum(v for k, v in md.values.items() if t in k)
+        acc = sum(v for k, v in keyed.items() if t in k)
         row[t] = (2.0 * acc - all_pairs_sum) / (n - 3)
     values = np.zeros((n, n))
     for a, b in combinations(range(n), 2):
         x, y = taxa[a], taxa[b]
-        joint = sum(v for k, v in md.values.items() if x in k and y in k)
+        joint = sum(v for k, v in keyed.items() if x in k and y in k)
         values[a, b] = values[b, a] = (2.0 * joint - row[x] - row[y]) / (n - 4)
     return DissimilarityMap(taxa=taxa, values=values)
 
@@ -827,7 +823,7 @@ def _loop_generalized_neighbor_join(delta_m):
     tree = PhyloTree()
     node_of = {t: tree.add_node(label=t) for t in delta_m.taxa}
     active = set(delta_m.taxa)
-    values = dict(delta_m.values)
+    values = m_map_dict(delta_m)
     pair_dist = {}
     if delta_m.size >= 5:
         derived = _loop_pairwise_from_3map(delta_m)
@@ -857,11 +853,7 @@ def _loop_generalized_neighbor_join(delta_m):
         active.add(z)
 
     while len(active) > 4:
-        sub = MDissimilarityMap(
-            taxa=tuple(sorted(active)),
-            m=3,
-            values={k: v for k, v in values.items() if k <= active},
-        )
+        sub = keyed_m_map(sorted(active), 3, values)
         join(*_loop_generalized_nj_cherry(sub)[0])
     quartet = sorted(active)
     if pair_dist:
@@ -898,7 +890,7 @@ def _m_map_cases(m, seed, count, sizes):
             taxa, values = tree.taxa, _loop_m_dissimilarity(tree, m)
         if c % 2:
             taxa = tuple(taxa[i] for i in g.permutation(n))
-        yield family, MDissimilarityMap(taxa=taxa, m=m, values=values)
+        yield family, keyed_m_map(taxa, m, values)
 
 
 def test_m_dissimilarity_matches_the_subset_loop():
@@ -908,9 +900,9 @@ def test_m_dissimilarity_matches_the_subset_loop():
         for m in range(2, min(n, 5) + 1):
             want = _loop_m_dissimilarity(tree, m)
             got = m_dissimilarity(tree, m)
-            assert list(got.values) == list(want)
-            for k, v in want.items():
-                assert abs(got.values[k] - v) <= 1e-12 * max(1.0, abs(v))
+            assert list(want) == list(map(frozenset, combinations(got.taxa, m)))
+            for x, v in zip(got.values.tolist(), want.values(), strict=True):
+                assert abs(x - v) <= 1e-12 * max(1.0, abs(v))
 
 
 def _leaves_beyond_splits(tree):
@@ -945,10 +937,10 @@ def test_splits_and_m_maps_match_the_leaves_beyond_walks():
         assert list(system) == want
         assert system.is_binary == (len(want) == 2 * len(tree.taxa) - 3)
         for m in range(2, min(len(tree.taxa), 4) + 1):
-            got = m_dissimilarity(tree, m).values
+            got = m_dissimilarity(tree, m)
             loop = _loop_m_dissimilarity(tree, m)
-            assert list(got) == list(loop)
-            assert [v.hex() for v in got.values()] == [v.hex() for v in loop.values()]
+            assert list(loop) == list(map(frozenset, combinations(got.taxa, m)))
+            assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in loop.values()]
 
 
 def test_generalized_cherry_matches_the_dict_sums():
@@ -964,11 +956,11 @@ def test_generalized_cherry_matches_the_dict_sums():
             # with J(x,y) the sum over subsets holding x and y and R its row
             # sums, Q = ((n-2) J(x,y) - (R_x + R_y)) / (m-1); the bound is
             # relative to the largest entry, as entries near zero cancel
-            taxa, n = sorted(md.taxa), md.size
+            taxa, n, keyed = sorted(md.taxa), md.size, m_map_dict(md)
             joint = {}
             for x, y in combinations(taxa, 2):
                 joint[x, y] = joint[y, x] = sum(
-                    v for k, v in md.values.items() if x in k and y in k
+                    v for k, v in keyed.items() if x in k and y in k
                 )
             row = {x: sum(joint[x, y] for y in taxa if y != x) for x in taxa}
             for x, y in combinations(taxa, 2):
@@ -1038,13 +1030,16 @@ def test_generalized_nj_matches_the_dict_joins():
 
 
 def _m_map_three_ways(md, g):
-    """``md``, the map rebuilt from its dict in reversed insertion order,
-    and its JSON round trip with the subset keys shuffled."""
-    reversed_map = MDissimilarityMap(md.taxa, md.m, dict(reversed(md.values.items())))
+    """``md``, the map rebuilt from a writable copy of its values (then
+    overwritten, which the map must not see), and its JSON round trip
+    with the subset keys shuffled."""
+    copy = md.values.copy()
+    rebuilt = MDissimilarityMap(md.taxa, md.m, copy)
+    copy[:] = -1.0
     data = json.loads(format_m_dissimilarity(md))
     items = list(data["values"].items())
     data["values"] = dict(items[i] for i in g.permutation(len(items)))
-    return md, reversed_map, parse_m_dissimilarity(json.dumps(data))
+    return md, rebuilt, parse_m_dissimilarity(json.dumps(data))
 
 
 def test_m_map_layout_is_the_same_however_the_map_is_built():
@@ -1052,12 +1047,14 @@ def test_m_map_layout_is_the_same_however_the_map_is_built():
     for m in (3, 4):
         for family, md in _m_map_cases(m, 12300 + 100 * m, 30, (m + 2, 11)):
             maps = _m_map_three_ways(md, rng(12300 + md.size))
-            want = [md.values[frozenset(s)] for s in combinations(md.taxa, m)]
+            want = md.values.tolist()
+            assert len(want) == math.comb(md.size, m)
             outputs = []
             for other in maps:
-                assert other._array.tolist() == want, (family, m)
+                assert other.values.tolist() == want, (family, m)
+                assert other.values.dtype == np.float64
                 with pytest.raises(ValueError, match="read-only"):
-                    other._array[0] = 1.0
+                    other.values[0] = 1.0
                 verdict = check_m_tree(other)
                 got = [generalized_nj_cherry(other), verdict.ok, verdict.witness]
                 if m == 3:
@@ -1072,26 +1069,77 @@ def test_m_map_layout_is_the_same_however_the_map_is_built():
     assert {(m, "uniform", False) for m in (3, 4)} <= checked
 
 
-def test_m_map_constructor_names_the_missing_or_bad_subset():
+def test_m_map_reader_names_the_missing_or_bad_subset():
+    def parse(taxa, m, values):
+        keyed = {",".join(sorted(k)): v for k, v in values.items()}
+        return parse_m_dissimilarity(json.dumps({"taxa": list(taxa), "m": m, "values": keyed}))
+
     values = {frozenset(s): 1.0 for s in combinations("abcde", 3)}
     holed = {k: v for k, v in values.items() if k != set("ace")}
     with pytest.raises(ValueError, match=r"missing value for subset \['a', 'c', 'e'\]"):
-        MDissimilarityMap(tuple("abcde"), 3, holed)
+        parse("abcde", 3, holed)
     for key in ("ab", "abz", "abcd"):
         with pytest.raises(ValueError, match=re.escape(f"bad subset key {sorted(key)}")):
-            MDissimilarityMap(tuple("abcde"), 3, {frozenset(key): 1.0, **values})
+            parse("abcde", 3, {frozenset(key): 1.0, **values})
+    # the order and the taxa are checked before the keys
+    for m in (1, 6):
+        with pytest.raises(ValueError, match=re.escape(f"m must lie in [2, 5], got {m}")):
+            parse("abcde", m, holed)
+    with pytest.raises(ValueError, match="taxa must be distinct"):
+        parse("abcda", 3, holed)
+    # the constructor takes one value per subset, in combinations order
+    for bad in ([1.0] * 9, [1.0] * 11, [[1.0] * 10]):
+        with pytest.raises(ValueError, match="expected 10 values, one per subset"):
+            MDissimilarityMap(tuple("abcde"), 3, bad)
 
 
 def test_m_map_get_names_the_first_unknown_taxon():
     md = m_dissimilarity(random_tree(12400, 5), 3)
     a, b = md.taxa[:2]
-    assert md.get(b, a, md.taxa[4]) == md.values[frozenset((a, b, md.taxa[4]))]
+    assert md.get(b, a, md.taxa[4]) == m_map_dict(md)[frozenset((a, b, md.taxa[4]))]
     with pytest.raises(KeyError, match="unknown taxon 'zz'"):
         md.get(a, b, "zz")
     with pytest.raises(KeyError, match="unknown taxon 'yy'"):
         md.get("yy", a, "zz")
     with pytest.raises(ValueError, match="need 3 distinct taxa"):
         md.get(a, a, "zz")
+
+
+def test_m_map_get_reads_every_subset_at_its_combinations_rank():
+    g = rng(12500)
+    for n, m in ((5, 2), (6, 3), (8, 4), (7, 7)):
+        taxa = tuple(f"x{i}" for i in g.permutation(n))
+        md = MDissimilarityMap(taxa, m, np.arange(math.comb(n, m)) + 0.5)
+        for rank, subset in enumerate(combinations(taxa, m)):
+            shuffled = [subset[i] for i in g.permutation(m)]
+            assert md.get(*subset) == md.get(*shuffled) == rank + 0.5, (n, m, subset)
+
+
+def test_maps_compare_by_identity():
+    dm = tree_metric(random_tree(12600, 5))
+    md = m_dissimilarity(random_tree(12600, 5), 3)
+    twin = MDissimilarityMap(md.taxa, md.m, md.values)
+    assert dm == dm and md == md
+    assert dm != DissimilarityMap(dm.taxa, dm.values) and md != twin
+    assert len({dm, md, twin}) == 3
+
+
+def test_generalized_nj_builds_the_subset_rows_once(monkeypatch):
+    import phylokit.treespace as treespace
+
+    calls = []
+    subsets = treespace._subsets
+
+    def counted(n, m):
+        calls.append((n, m))
+        return subsets(n, m)
+
+    monkeypatch.setattr(treespace, "_subsets", counted)
+    for seed, n in ((12650, 4), (12651, 5), (12652, 9)):
+        md = m_dissimilarity(random_tree(seed, n), 3)
+        calls.clear()
+        generalized_neighbor_join(md)
+        assert calls == [(n, 3)]
 
 
 def test_generalized_nj_recovers_topology_on_30_to_40_taxa():
@@ -1129,14 +1177,14 @@ def _stacked_four_point(delta):
     return None
 
 
-def _restrict(delta_m, fixed):
+def _restrict(delta_m, keyed, fixed):
     fixed = frozenset(fixed)
     rest = tuple(t for t in delta_m.taxa if t not in fixed)
     n = len(rest)
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = delta_m.values[fixed | {rest[i], rest[j]}]
+            values[i, j] = values[j, i] = keyed[fixed | {rest[i], rest[j]}]
     return DissimilarityMap(taxa=rest, values=values)
 
 
@@ -1145,8 +1193,9 @@ def _restrict_check_m_tree(delta_m):
     n, m = delta_m.size, delta_m.m
     if n < m + 2:
         return (True, True, None)
+    keyed = m_map_dict(delta_m)
     for fixed in combinations(delta_m.taxa, m - 2):
-        induced = _restrict(delta_m, fixed)
+        induced = _restrict(delta_m, keyed, fixed)
         metric = check_metric(induced)
         if not metric:
             return (False, False, (tuple(fixed), metric.violation))
@@ -1205,12 +1254,12 @@ def test_m_tree_matches_the_pinned_dict_walk():
                 }
             else:
                 lengths = (1.0, 1.0) if family == "equal" else (0.05, 1.0)
-                values = dict(m_dissimilarity(random_binary_tree(names, g, *lengths), m).values)
+                values = m_map_dict(m_dissimilarity(random_binary_tree(names, g, *lengths), m))
                 if family == "perturbed":
                     key = list(values)[int(g.integers(len(values)))]
                     values[key] *= g.uniform(1.05, 1.6)
             taxa = tuple(names[i] for i in g.permutation(n))
-            md = MDissimilarityMap(taxa=taxa, m=m, values=values)
+            md = keyed_m_map(taxa, m, values)
             got = check_m_tree(md)
             want = _restrict_check_m_tree(md)
             assert (got.ok, got.vacuous, got.witness) == want, (family, m)
