@@ -282,21 +282,58 @@ def claw_fourier_invariant(
 # simulation
 
 _ROOT_STREAM = np.uint64(0xFFFFFFFFFFFFFFFF)
+_FRESH = np.zeros(4, dtype=np.uint64)  # Philox's counter and buffer at the first word
+_LETTERS = bytes.maketrans(bytes(range(4)), NUCLEOTIDES.encode("ascii"))
 
 
-def _stream(seed: int, index) -> np.random.Philox:
-    """The counter-based stream keyed by (seed, index).  Its raw 64-bit
-    words are what ``np.random.Generator(stream).random`` turns into
-    uniforms, as (word >> 11) * 2**-53."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
-                   dtype=np.uint64)
-    return np.random.Philox(key=key)
+def _stream(seed: int, index, philox: np.random.Philox) -> np.random.Philox:
+    """``philox`` re-keyed in place to the counter-based stream keyed by
+    (seed, index), at its first word: the words of
+    ``np.random.Philox(key=[seed, index])``, for a fraction of its set-up."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH, "key": key},
+        "buffer": _FRESH,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return philox
 
 
-def _last_kept(theta: float) -> int:
-    """The largest raw word whose uniform (word >> 11) * 2**-53 is below
-    ``theta``: u >= theta exactly when word >> 11 >= ceil(theta * 2**53)."""
-    return (math.ceil(theta * 2.0**53) << 11) - 1
+def _lanes(stream, length: int) -> np.ndarray:
+    """``length`` uniform 16-bit lanes from ceil(length / 4) raw words:
+    lane s is bits 16 (s mod 4) .. 16 (s mod 4) + 15 of word s // 4, on
+    every CPU."""
+    raw = stream.random_raw(-(-length // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[:length]
+
+
+def _evolve(src: np.ndarray, theta: float, stream) -> np.ndarray:
+    """The letter codes ``src`` after one edge that keeps a letter with
+    probability ``theta``, drawing from ``stream``.
+
+    With K = ceil(theta * 2**69), a site keeps its letter when its lane
+    is below t = K >> 53 and mutates when it is above.  A lane equal to t
+    reads the next word w (ties in site order) and mutates iff
+    w >> 11 >= K mod 2**53, so a site keeps with probability exactly
+    K / 2**69.  Each mutated site then reads one more word (in site order)
+    and adds the offset 1 + ((w >> 11) * 3 >> 53), each of 1, 2, 3 within
+    2**-53 of 1/3.
+    """
+    lanes = _lanes(stream, src.size)
+    num, den = theta.as_integer_ratio()
+    k = -(-(num << 69) // den)
+    t, c = k >> 53, k & (2**53 - 1)
+    hit = np.flatnonzero(lanes >= t)
+    tie = np.flatnonzero(lanes[hit] == t)
+    if tie.size:
+        hit = np.delete(hit, tie[stream.random_raw(tie.size) >> 11 < c])
+    offset = ((stream.random_raw(hit.size) >> 11) * 3 >> 53).astype(np.uint8) + 1
+    out = src.copy()
+    out[hit] = (src[hit] + offset) & 3
+    return out
 
 
 def simulate_leaf_sequences(
@@ -305,36 +342,30 @@ def simulate_leaf_sequences(
     """Evolve ``length`` independent sites down the tree.
 
     Root states are uniform; each edge substitutes letters with its
-    (theta, pi) matrix.  Randomness is drawn from counter-based streams
-    keyed by (seed, edge index) with one counter position per site, so
-    the result does not depend on edge evaluation order and repeats
-    exactly for a fixed seed.
+    (theta, pi) matrix.  Randomness comes from counter-based streams
+    keyed by (seed, edge index), the root's by (seed, 2**64 - 1), so the
+    result does not depend on edge evaluation order and repeats exactly
+    for a fixed seed.  A stream's raw words serve four sites each, one
+    16-bit lane per site: the root letter is the top two bits of its
+    lane, and an edge compares lanes against theta as :func:`_evolve`
+    describes.  A zero-length edge copies its parent without a draw.
+    Only raw words and integer operations decide the letters, so the
+    output is the same on every numpy version and CPU.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
     root = _pruning_root(tree)
-    # floor(4u) is the top two bits of the word
-    states: dict[int, np.ndarray] = {
-        root: (_stream(seed, _ROOT_STREAM).random_raw(length) >> 62).astype(np.int8)
-    }
+    philox = np.random.Philox(0)
+    root_lanes = _lanes(_stream(seed, _ROOT_STREAM, philox), length)
+    states: dict[int, np.ndarray] = {root: (root_lanes >> 14).astype(np.uint8)}
     edges = [(p, c) for p, kids in tree.children_from(root).items() for c in kids]
     for index, (parent, child) in enumerate(edges):
         edge = edge_params_from_length(tree.edge_length(parent, child))
-        src = states[parent]
         if edge.pi == 0.0:
-            states[child] = src
-            continue
-        raw = _stream(seed, index).random_raw(length)
-        # most sites keep their letter: compare raw words, and make
-        # uniforms only where a mutation lands
-        hit = np.flatnonzero(raw > np.uint64(_last_kept(edge.theta)))
-        u = (raw[hit] >> 11) * 2.0**-53
-        offset = np.minimum(((u - edge.theta) / edge.pi).astype(np.int8), 2) + 1
-        out = src.copy()
-        out[hit] = (src[hit] + offset) % 4
-        states[child] = out
-    letters = np.frombuffer(NUCLEOTIDES.encode("ascii"), dtype=np.uint8)
+            states[child] = states[parent]
+        else:
+            states[child] = _evolve(states[parent], edge.theta, _stream(seed, index, philox))
     return {
-        tree.label_of(leaf): letters[states[leaf]].tobytes().decode("ascii")
+        tree.label_of(leaf): states[leaf].tobytes().translate(_LETTERS).decode("ascii")
         for leaf in tree.leaves()
     }

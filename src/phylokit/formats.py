@@ -158,6 +158,15 @@ def _json_taxa(data) -> tuple[str, ...]:
     return tuple(str(t) for t in taxa)
 
 
+def _fits_float(v: int | float) -> bool:
+    """Whether ``float(v)`` returns rather than raising ``OverflowError``."""
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def parse_distance_matrix(text: str) -> DissimilarityMap:
     """Square PHYLIP or JSON ({"taxa": [...], "matrix": [[...]]})
     distance matrix.  Must be symmetric within 1e-9 with a zero
@@ -170,6 +179,13 @@ def parse_distance_matrix(text: str) -> DissimilarityMap:
             matrix = np.array(data["matrix"], dtype=float)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"distance JSON needs taxa and matrix: {exc}") from None
+        except OverflowError:  # a JSON integer beyond float range
+            where = next(
+                (f" [{i}][{j}]" for i, row in enumerate(data["matrix"]) if type(row) is list
+                 for j, v in enumerate(row) if type(v) is int and not _fits_float(v)),
+                "",
+            )
+            raise ValueError(f"matrix entry{where} is an integer beyond float range") from None
         return DissimilarityMap(taxa=taxa, values=matrix)
 
     lines = [line for line in text.splitlines() if line.strip()]
@@ -245,6 +261,8 @@ def parse_m_dissimilarity(text: str) -> MDissimilarityMap:
                     f"key {key!r} names the subset {','.join(sorted(subset))!r} "
                     "a second time"
                 )
+            if not _fits_float(v):
+                raise ValueError(f"value for subset key {key!r} is an integer beyond float range")
             values[subset] = float(v)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"m-dissimilarity JSON needs taxa, m, values: {exc}") from None

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,12 +629,12 @@ def test_simulation_base_frequencies_near_uniform():
 # sha256 over seeds 0-2 of ">name\nsequence\n" in name order; any change
 # to the streams, their order or the mutation step changes these
 SIMULATION_PINS = {
-    ("reference", 1): "52955b87b1131723384f1203b9b727b014de95bc7553a966b7b17517579011ea",
-    ("reference", 777): "a7ee956058530b92f97d23ac4bf02a18d588aab6f381c52ab0451c278ca58ab8",
-    ("reference", 5000): "edbcac8d48127778babbbf6c97b7da14f1c7c974b7c0a28b3bf691e3b8398f0b",
-    ("claw", 1): "9e7011ebb0cbb4406418ea1d9dbd978f1c9c470fe7d8147dd5a8f0bad95fd0b5",
-    ("claw", 777): "c0b7ebf87f0418d43433dbd53bc8890f2e45cbec12b7113fec1d97175b8e2004",
-    ("claw", 5000): "09c35664d2795b0605c4c5652814376360d8c805304d863b652f75f4620a4f54",
+    ("reference", 1): "d8cf7e01fba6075e65f16e8b5e8748322cc779fc2de7d251341e5b21e7e1fe12",
+    ("reference", 777): "6d6a43e332a6ae398a9b1a27ed74e16fcb1e881418e6bf074f3e2da04851f489",
+    ("reference", 5000): "fc7dbf7c446292cb572cab1b9a246e97c42b7dcef4e381404424215fd20c5591",
+    ("claw", 1): "4f2f900dc98337263adb7e134d2adef926998ae921d8b676d98f0ade59c054eb",
+    ("claw", 777): "df847caaf5b449e68e33c242879b24710d3f88b21b5940f191d2de3e0fe0a7ca",
+    ("claw", 5000): "9985923698f091f1ab41b8c7e61a33904f2345162e17be7c98594ed248d9c45a",
 }
 
 
@@ -649,30 +650,86 @@ def test_simulated_sequences_are_pinned(tree_name, length):
     assert digest.hexdigest() == SIMULATION_PINS[tree_name, length]
 
 
-def test_generator_uniforms_are_the_top_53_bits_of_the_raw_stream():
-    # simulation reads raw Philox words; it draws what the Generator's
-    # ``random`` would only while numpy defines u as (word >> 11) * 2**-53
-    for seed, index in ((0, 0), (3, 17), (2**40 + 5, evolution._ROOT_STREAM)):
-        u = np.random.Generator(evolution._stream(seed, index)).random(1000)
-        words = evolution._stream(seed, index).random_raw(1000)
-        assert np.array_equal(u.view(np.uint64), ((words >> 11) * 2.0**-53).view(np.uint64))
-        # a root letter is floor(4u), the word's top two bits
-        assert np.array_equal((u * 4).astype(np.int8), (words >> 62).astype(np.int8))
+def _philox(seed, index):
+    return np.random.Philox(key=np.array([seed & (2**64 - 1), index], dtype=np.uint64))
 
 
-def test_raw_word_threshold_agrees_with_the_uniform_comparison():
-    # theta = 1 - 3 pi makes theta * 2**53 an integer; doubles below 0.5,
-    # such as 0.3 or 0.25 + 2**-54, need the ceiling
-    thetas = [edge_params_from_length(b).theta for b in (1e-9, 0.003, 0.1, 0.7, 5.0, 40.0)]
-    thetas += [0.25 + 2.0**-54, 0.3, 0.75, 1.0]
-    assert {t * 2.0**53 == math.ceil(t * 2.0**53) for t in thetas} == {True, False}
-    for theta in thetas:
-        c = math.ceil(theta * 2.0**53)
-        ks = [k for k in (c - 1, c, c + 1) if 0 <= k < 2**53]
-        words = np.array([(k << 11) | low for k in ks for low in (0, 2**11 - 1)], dtype=np.uint64)
-        hit = words > np.uint64(evolution._last_kept(theta))
-        assert np.array_equal(hit, (words >> 11) * 2.0**-53 >= theta), theta
-        assert hit.any() == (c < 2**53) and not hit.all()
+def test_rekeyed_stream_equals_a_fresh_philox():
+    philox = np.random.Philox(0)
+    philox.random_raw(3)  # mid-buffer: re-keying must start at the first word
+    for seed, index in ((0, 0), (3, 17), (2**40 + 5, evolution._ROOT_STREAM), (-1, 2), (2**70 + 9, 5)):
+        got = evolution._stream(seed, index, philox).random_raw(1001)
+        assert np.array_equal(got, _philox(seed, index).random_raw(1001)), (seed, index)
+
+
+def test_lanes_are_the_16_bit_fields_of_the_raw_words():
+    for length in (1, 3, 4, 5, 4001):
+        words = _philox(7, 3).random_raw(-(-length // 4))
+        want = [(int(words[s // 4]) >> (16 * (s % 4))) & 0xFFFF for s in range(length)]
+        assert evolution._lanes(_philox(7, 3), length).tolist() == want
+
+
+def test_root_letters_are_the_top_two_bits_of_the_root_lanes():
+    tree = _claw_tree(0.0, 0.0, 0.0)  # every leaf copies the root
+    for seed, length in ((5, 50), (2**40 + 5, 4003)):
+        lanes = evolution._lanes(_philox(seed, evolution._ROOT_STREAM), length)
+        want = "".join(NUC[lane >> 14] for lane in lanes.tolist())
+        assert simulate_leaf_sequences(tree, length, seed) == dict.fromkeys("xyz", want)
+
+
+class _StubStream:
+    """Hands out queued raw words and records how many each call asked for."""
+
+    def __init__(self, *chunks):
+        self.chunks = [np.array(c, dtype=np.uint64) for c in chunks]
+        self.sizes = []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        chunk = self.chunks.pop(0)
+        assert chunk.size == size
+        return chunk
+
+
+@pytest.mark.parametrize("b", [0.003, 0.1, 0.7, 5.0])
+def test_tie_lane_decides_by_the_exact_fraction(b):
+    theta = edge_params_from_length(b).theta
+    t = math.floor(theta * 2.0**16)
+    c = math.ceil((theta * 2.0**16 - t) * 2.0**53)
+    assert 0 < t and t + 1 < 2**16 and 0 < c < 2**53
+    # keeping with probability t / 2**16 + c / 2**69 is ceil(theta 2**69) / 2**69
+    assert t * 2**53 + c == math.ceil(Fraction(theta) * 2**69)
+    lanes = (t - 1) | t << 16 | (t + 1) << 32 | t << 48  # keep, tie, mutate, tie
+    below, at = (c - 1) << 11 | 0x7FF, c << 11
+    src = np.array([0, 1, 2, 3], dtype=np.uint8)
+    # offset words: 0 gives offset 1, 2**64 - 1 gives offset 3
+    for ties, mutated in (((below, at), [2, 3]), ((at, below), [1, 2])):
+        stream = _StubStream([lanes], ties, [0, 2**64 - 1])
+        out = evolution._evolve(src, theta, stream)
+        want = src.copy()
+        want[mutated] = (src[mutated] + [1, 3]) % 4
+        assert out.tolist() == want.tolist() and stream.sizes == [1, 2, 2]
+
+
+def _chi2(counts, expected):
+    counts, expected = np.asarray(counts, float), np.asarray(expected, float)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+@pytest.mark.parametrize("b", [0.003, 0.05, 0.4, 3.0])
+def test_simulated_mutations_and_offsets_follow_the_model(b):
+    # y copies the root; x differs from it where the edge mutated, by the offset
+    n = 10**6
+    seqs = simulate_leaf_sequences(_two_leaf_tree(b, 0.0), n, seed=31)
+    x, y = (np.frombuffer(seqs[k].encode(), np.uint8) for k in "xy")
+    codes = np.zeros(256, np.uint8)
+    codes[np.frombuffer(NUC.encode(), np.uint8)] = range(4)
+    offset = (codes[x].astype(int) - codes[y]) % 4
+    mutated = np.count_nonzero(offset)
+    p = 3 * edge_params_from_length(b).pi
+    # critical values at p = 1e-6: 23.93 for 1 degree of freedom, 27.63 for 2
+    assert _chi2([mutated, n - mutated], [n * p, n * (1 - p)]) < 23.93
+    assert _chi2(np.bincount(offset, minlength=4)[1:], [mutated / 3] * 3) < 27.63
 
 
 def _leaves_beyond_edge_order(tree: PhyloTree, root: int) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phylokit.cli import main
 from phylokit.formats import (
     bundled_distance_matrix,
     bundled_reference_tree,
@@ -316,6 +317,33 @@ def test_m_dissimilarity_reader_refuses_a_subset_named_twice():
         text = json.dumps({"taxa": list("abcd"), "m": 3, "values": {**values, key: 5}})
         with pytest.raises(ValueError, match=f"key '{key}' names the subset 'a,b,c'"):
             parse_m_dissimilarity(text)
+
+
+def test_json_integers_beyond_float_range_exit_2_naming_the_key_or_entry(tmp_path, capsys):
+    huge = 10**400
+    values = {",".join(s): 1 for s in combinations("abcd", 3)}
+    mtext = json.dumps({"taxa": list("abcd"), "m": 3, "values": {**values, "a,b,d": huge}})
+    matrix = (1 - np.eye(4, dtype=int)).tolist()
+    matrix[2][3] = matrix[3][2] = huge
+    dtext = json.dumps({"taxa": list("abcd"), "matrix": matrix})
+    m_said = "value for subset key 'a,b,d' is an integer beyond float range"
+    d_said = "matrix entry [2][3] is an integer beyond float range"
+    with pytest.raises(ValueError) as caught:
+        parse_m_dissimilarity(mtext)
+    assert str(caught.value) == m_said
+    with pytest.raises(ValueError) as caught:
+        parse_distance_matrix(dtext)
+    assert str(caught.value) == d_said
+    for command, flag, text, said in (("mtree", "--input", mtext, m_said),
+                                      ("fourpoint", "--distances", dtext, d_said)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(text)
+        assert main(["tree", command, flag, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {said}\n"
+    # integers that round to a finite float still read
+    top = int(np.finfo(float).max)
+    assert parse_m_dissimilarity(mtext.replace(str(huge), str(top))).get("a", "b", "d") == top
+    assert parse_distance_matrix(dtext.replace(str(huge), str(10**307))).values[2, 3] == 1e307
 
 
 def test_m_dissimilarity_writer_refuses_labels_with_commas():
