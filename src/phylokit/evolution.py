@@ -168,13 +168,19 @@ def log_pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> floa
     # walked backwards, the preorder reaches every child before its parent
     sr = LogSemiring
     onehot, ones = np.where(np.eye(4, dtype=bool), sr.one, sr.zero), np.full(4, sr.one)
-    below = {}
-    for t in taxa:
-        try:
-            (code,) = encode(pattern[t])
-        except ValueError:  # a bad character, or not exactly one
-            raise ValueError(f"invalid nucleotide {pattern[t]!r} for leaf {t!r}") from None
-        below[tree.node_of(t)] = onehot[code]
+    letters = [pattern[t] for t in taxa]
+    try:
+        if set(map(len, letters)) != {1}:
+            raise ValueError("a leaf's letter is not one character")
+        codes = encode("".join(letters))
+    except ValueError:  # encode leaf by leaf to name the first bad one
+        for t, letter in zip(taxa, letters):
+            try:
+                (_,) = encode(letter)
+            except ValueError:  # a bad character, or not exactly one
+                raise ValueError(f"invalid nucleotide {letter!r} for leaf {t!r}") from None
+        raise
+    below = dict(zip(map(tree.node_of, taxa), onehot[codes]))
     root = _pruning_root(tree)
     with np.errstate(divide="ignore"):  # log pi is -inf at b = 0
         for parent, kids in reversed(tree.children_from(root).items()):

@@ -293,36 +293,69 @@ def format_m_dissimilarity(md: MDissimilarityMap) -> str:
 # FASTA
 
 
+#: the line breaks ``str.splitlines`` knows besides "\n"
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _sequence(block: str) -> str:
+    """The stripped lines of ``block`` run together, uppercased in ASCII
+    letters only."""
+    if block.isascii() and not any(c in block for c in " \t\x1f"):
+        return block.replace("\n", "").upper()  # "\n" is its only whitespace
+    return "".join(map(str.strip, block.split("\n"))).translate(ASCII_UPPER)
+
+
 def read_fasta(text: str) -> list[tuple[str, str]]:
     """(name, sequence) records; names are the first whitespace-separated
-    token after '>'.  Only ASCII letters are uppercased, so that an error
-    names a character as given."""
-    records: list[tuple[str, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            name = line[1:].split()[0] if line[1:].split() else ""
-            if not name:
-                raise ValueError(f"unnamed FASTA record at line {lineno}")
-            records.append((name, []))
-        else:
-            if not records:
-                raise ValueError(f"sequence before any '>' header at line {lineno}")
-            records[-1][1].append(line)
-    if not records:
+    token after '>'.  Lines are those of ``str.splitlines`` and are
+    stripped; a header is a line that then starts with '>'.  Only ASCII
+    letters are uppercased, so that an error names a character as given."""
+    if any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())  # the same lines, one break
+    headers = []  # (line start, '>' position, line end) of each header line
+    at = text.find(">")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        if not text[start:at].strip():  # the '>' opens its stripped line
+            headers.append((start, at, end))
+        at = text.find(">", end)  # a later '>' on this line opens nothing
+    head = text[:headers[0][0]] if headers else text
+    if head.strip():
+        lineno = head.count("\n", 0, len(head) - len(head.lstrip())) + 1
+        raise ValueError(f"sequence before any '>' header at line {lineno}")
+    if not headers:
         raise ValueError("no FASTA records found")
-    return [(name, "".join(chunks).translate(ASCII_UPPER)) for name, chunks in records]
+    records = []
+    for (_, at, end), (stop, _, _) in zip(headers, headers[1:] + [(len(text), 0, 0)]):
+        name = text[at + 1:end].split()
+        if not name:
+            lineno = text.count("\n", 0, at) + 1
+            raise ValueError(f"unnamed FASTA record at line {lineno}")
+        records.append((name[0], _sequence(text[end + 1:stop])))
+    return records
 
 
 def write_fasta(records, width: int = 70) -> str:
-    lines = []
+    """FASTA text: each record's header, then its sequence in lines of
+    ``width`` characters."""
+    if width < 1:
+        raise ValueError(f"FASTA line width must be at least 1, got {width!r}")
+    parts = []
     for name, seq in records:
-        lines.append(f">{name}")
-        for start in range(0, len(seq), width):
-            lines.append(seq[start:start + width])
-    return "\n".join(lines) + "\n"
+        parts.append(f">{name}\n")
+        if not seq.isascii():  # break by characters, not bytes
+            parts.extend(seq[i:i + width] + "\n" for i in range(0, len(seq), width))
+            continue
+        full = len(seq) - len(seq) % width
+        rows = np.empty((full // width, width + 1), dtype=np.uint8)
+        rows[:, :width] = np.frombuffer(seq.encode("ascii"), np.uint8, full).reshape(-1, width)
+        rows[:, width] = ord("\n")
+        parts.append(rows.tobytes().decode("ascii"))
+        if full < len(seq):
+            parts.append(seq[full:] + "\n")
+    return "".join(parts) if parts else "\n"  # no records: one empty line
 
 
 # ---------------------------------------------------------------------------

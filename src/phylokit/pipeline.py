@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +160,7 @@ _PAIR_ROW = """
     }}"""
 
 
-@dataclass(frozen=True)
-class PairwiseDistance:
+class PairwiseDistance(NamedTuple):
     taxon_a: str
     taxon_b: str
     sites: int | None
@@ -283,30 +283,44 @@ def _read_input(source: str | Path) -> str:
     return text
 
 
+def _pair_rows(taxa, sites, differences, distances) -> list[PairwiseDistance]:
+    """One row per taxon pair i < j, in ``np.triu_indices`` order, from
+    per-pair lists in that order."""
+    rows, cols = np.triu_indices(len(taxa), 1)
+    names = np.array(taxa, dtype=object)
+    return list(map(PairwiseDistance._make, zip(
+        names[rows].tolist(), names[cols].tolist(), sites, differences, distances
+    )))
+
+
 def distances_from_alignment(alignment: AlignedFasta):
     """Pairwise corrected distances for all taxon pairs, in sorted
     order.  A pair with no finite estimate (saturated, or with no site
-    where both hold a plain base) is reported by name."""
+    where both hold a plain base) is reported by name: the first such
+    pair (i, j), through :func:`jc_distance`'s own error."""
     taxa = alignment.taxa
     planes = _bit_planes(alignment.codes)
-    pairwise = []
-    for i, a in enumerate(taxa):
-        usable, differing = _site_counts(planes, i)
-        for b, n, k in zip(taxa[i + 1:], usable.tolist(), differing.tolist()):
-            try:
-                dist = jc_distance(n, k)
-            except SaturationError as exc:
-                raise SaturationError(f"pair ({a}, {b}) is saturated: {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"pair ({a}, {b}): {exc}") from None
-            pairwise.append(
-                PairwiseDistance(
-                    taxon_a=a, taxon_b=b, sites=n, differences=k, distance=dist
-                )
-            )
-    values = np.zeros((len(taxa), len(taxa)))
+    counts = [_site_counts(planes, i) for i in range(len(taxa))]
+    usable = np.concatenate([n for n, _ in counts])
+    differing = np.concatenate([k for _, k in counts])
+    # jc_distance's ratio, term for term: 0/0 is nan where no site is usable
+    with np.errstate(invalid="ignore"):
+        ratio = 1.0 - (4.0 * differing) / (3.0 * usable)
+    bad = np.flatnonzero(~(ratio > 0.0))
     rows, cols = np.triu_indices(len(taxa), 1)
-    values[rows, cols] = values[cols, rows] = [p.distance for p in pairwise]
+    if bad.size:
+        first = bad[0]
+        a, b = taxa[rows[first]], taxa[cols[first]]
+        try:
+            jc_distance(int(usable[first]), int(differing[first]))
+        except SaturationError as exc:
+            raise SaturationError(f"pair ({a}, {b}) is saturated: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"pair ({a}, {b}): {exc}") from None
+    distances = [-0.75 * math.log(r) for r in ratio.tolist()]  # jc_distance's bits
+    values = np.zeros((len(taxa), len(taxa)))
+    values[rows, cols] = values[cols, rows] = distances
+    pairwise = _pair_rows(taxa, usable.tolist(), differing.tolist(), distances)
     return pairwise, DissimilarityMap(taxa=taxa, values=values)
 
 
@@ -324,18 +338,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         pairwise, dm = distances_from_alignment(alignment)
     else:
         dm = parse_distance_matrix(_read_input(config.distances))
-        rows = dm.values.tolist()
-        pairwise = [
-            PairwiseDistance(
-                taxon_a=a,
-                taxon_b=b,
-                sites=None,
-                differences=None,
-                distance=rows[i][j],
-            )
-            for i, a in enumerate(dm.taxa)
-            for j, b in enumerate(dm.taxa[i + 1:], i + 1)
-        ]
+        distances = dm.values[np.triu_indices(dm.size, 1)].tolist()
+        blank = [None] * len(distances)
+        pairwise = _pair_rows(dm.taxa, blank, blank, distances)
 
     tree = neighbor_join(dm)
     newick = emit_newick(tree)

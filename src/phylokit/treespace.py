@@ -52,10 +52,18 @@ class DissimilarityMap:
                 f"asymmetric entries d[{taxa[i]},{taxa[j]}]={values[i, j]!r} "
                 f"vs d[{taxa[j]},{taxa[i]}]={values[j, i]!r}"
             )
-        values = (values + values.T) / 2.0
-        values.setflags(write=False)
+        with np.errstate(over="ignore"):
+            mean = (values + values.T) / 2.0
+        finite = np.isfinite(mean)
+        if not finite.all():  # d[i,j] + d[j,i] overflows above about 8.99e307
+            i, j = np.unravel_index(int(finite.argmin()), finite.shape)
+            raise ValueError(
+                f"entry d[{taxa[i]},{taxa[j]}]={float(values[i, j])!r} is too large "
+                "to symmetrize: d[i,j] + d[j,i] overflows"
+            )
+        mean.setflags(write=False)
         object.__setattr__(self, "taxa", taxa)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", mean)
 
     @property
     def size(self) -> int:

@@ -365,6 +365,23 @@ def test_pattern_probability_missing_leaf_is_an_error():
         pattern_probability(tree, {"x": "A", "y": "C"})
 
 
+def test_pattern_errors_name_the_first_bad_leaf_in_taxon_order():
+    tree = _claw_tree(0.1, 0.2, 0.3)
+    for bad, message in (
+        ({"x": "A", "y": "u", "z": "-"}, "invalid nucleotide 'u' for leaf 'y'"),
+        ({"x": "A", "y": "CG", "z": ""}, "invalid nucleotide 'CG' for leaf 'y'"),
+        ({"x": "A", "y": "c", "z": ""}, "invalid nucleotide '' for leaf 'z'"),
+        ({"x": "ß", "y": "A", "z": "A"}, "invalid nucleotide 'ß' for leaf 'x'"),
+        ({"x": "N", "y": "A", "z": "A"}, "invalid nucleotide 'N' for leaf 'x'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            log_pattern_probability(tree, bad)
+        assert str(info.value) == message
+    # lowercase letters read as their uppercase
+    mixed = log_pattern_probability(tree, {"x": "a", "y": "c", "z": "G"})
+    assert mixed == log_pattern_probability(tree, {"x": "A", "y": "C", "z": "G"})
+
+
 def test_all_same_probability_degenerate_trees():
     tree = _two_leaf_tree(0.0, 0.0)
     p_single, p_any = all_same_probability(tree)

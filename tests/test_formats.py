@@ -377,6 +377,132 @@ def test_fasta_errors():
         read_fasta(">\nACGT\n")
 
 
+_ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
+
+
+def _loop_read_fasta(text):
+    """The reader as one Python step per line: the reference the bulk
+    reader must match, errors included."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            name = line[1:].split()[0] if line[1:].split() else ""
+            if not name:
+                raise ValueError(f"unnamed FASTA record at line {lineno}")
+            records.append((name, []))
+        else:
+            if not records:
+                raise ValueError(f"sequence before any '>' header at line {lineno}")
+            records[-1][1].append(line)
+    if not records:
+        raise ValueError("no FASTA records found")
+    return [(name, "".join(chunks).translate(_ASCII_UPPER)) for name, chunks in records]
+
+
+def _loop_write_fasta(records, width):
+    lines = []
+    for name, seq in records:
+        lines.append(f">{name}")
+        for start in range(0, len(seq), width):
+            lines.append(seq[start:start + width])
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# every line break str.splitlines knows, and whitespace that strip() removes
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PADS = ["", " ", "\t", "  \t", "\x1f", "\xa0", "\u3000"]
+
+
+def _random_fasta_lines(g, valid: bool):
+    """Lines of a FASTA text: headers (some with descriptions or non-ASCII
+    names), sequence lines in both cases with non-ASCII letters, blank and
+    padded lines; an invalid text may lead with a sequence line or hold a
+    header with no name."""
+    letters = list("ACGTNacgtn-") + (["ß", "ſ", "é", "X", ">", " "] if g.random() < 0.5 else [])
+    lines = []
+    if not valid and g.random() < 0.3:
+        lines.append("AC")
+    for r in range(int(g.integers(0 if not valid else 1, 5))):
+        name = str(g.choice(["s", "taxon", "é", "ß", "a>b"])) + str(r)
+        desc = str(g.choice(["", " desc", "\tmore words", " ß x"]))
+        header = ">" + str(g.choice(["", " ", "\t"])) + name + desc
+        if not valid and g.random() < 0.2:
+            header = str(g.choice([">", "> ", ">\t", ">\xa0"]))
+        lines.append(header)
+        for _ in range(int(g.integers(0, 5))):
+            if g.random() < 0.2:
+                lines.append(str(g.choice(_PADS)))  # a blank line
+                continue
+            body = "".join(g.choice(letters, int(g.integers(1, 12))).tolist())
+            if body.startswith(">"):
+                body = "A" + body
+            lines.append(str(g.choice(_PADS)) + body + str(g.choice(_PADS)))
+    return lines
+
+
+def test_read_fasta_matches_the_line_loop_on_every_line_break():
+    g = rng(2828)
+    for trial in range(600):
+        lines = _random_fasta_lines(g, valid=trial % 3 != 0)
+        breaks = ["\n"] * 3 + _BREAKS if trial % 2 else ["\n"]
+        text = "".join(line + str(g.choice(breaks)) for line in lines)
+        if g.random() < 0.3 and text:
+            text = text[:-1]  # no final line break
+        want = _outcome(_loop_read_fasta, text)
+        assert _outcome(read_fasta, text) == want, repr(text)
+
+
+@pytest.mark.parametrize("brk", _BREAKS)
+def test_read_fasta_errors_name_the_line_the_loop_names(brk):
+    cases = [
+        "",
+        brk * 3,
+        f"{brk}  {brk}ACGT{brk}>a{brk}AC{brk}",
+        f">a{brk}AC{brk}{brk}>{brk}GT{brk}",
+        f">a{brk}AC{brk} \t{brk}>  {brk}>b{brk}",
+        f">a{brk}AC{brk}>\xa0\u3000{brk}",
+        f"{brk}{brk}\tac gt\t{brk}",
+    ]
+    for text in cases:
+        want = _outcome(_loop_read_fasta, text)
+        assert isinstance(want, str) and want.startswith("ValueError"), repr(text)
+        assert _outcome(read_fasta, text) == want, repr(text)
+
+
+def test_read_fasta_keeps_non_ascii_letters_and_names_as_given():
+    text = ">ß x\nßſ\nacgt\n>é\n  éa  \n"
+    assert read_fasta(text) == _loop_read_fasta(text) == [("ß", "ßſACGT"), ("é", "éA")]
+
+
+@pytest.mark.parametrize("width", [1, 60, 70])
+def test_write_fasta_bytes_equal_the_line_loop(width):
+    g = rng(2829 + width)
+    for length in sorted({0, 1, width - 1, width, width + 1, 3 * width}):
+        ascii_seq = "".join(g.choice(list("ACGTN-"), length).tolist())
+        wide_seq = "".join(g.choice(list("ACGTßſé"), length).tolist())
+        records = [("a", ascii_seq), ("ß name", wide_seq), ("é", ascii_seq.lower())]
+        text = write_fasta(records, width=width)
+        assert text == _loop_write_fasta(records, width)
+        assert text.encode("utf-8") == _loop_write_fasta(records, width).encode("utf-8")
+    assert write_fasta([], width=width) == _loop_write_fasta([], width) == "\n"
+
+
+@pytest.mark.parametrize("width", [0, -1, -70])
+def test_write_fasta_refuses_a_width_below_one(width):
+    with pytest.raises(ValueError, match=f"width must be at least 1, got {width}$"):
+        write_fasta([("a", "ACGT")], width=width)
+
+
 # ---------------------------------------------------------------------------
 # parameter JSON and bundled data
 

@@ -1,10 +1,12 @@
 """Site counting, motif search, the end-to-end conservation pipeline,
 and the command-line surface."""
 
+import collections
 import dataclasses
 import itertools
 import json
 import math
+import struct
 import warnings
 
 import pytest
@@ -305,6 +307,18 @@ def test_cli_nj_build_and_tree_fourpoint(tmp_path, capsys):
     assert verdict["metric"] is True
     # the estimated distances are close to, but not exactly, a tree metric
     assert "fourPoint" in verdict
+
+
+def test_cli_tree_fourpoint_refuses_a_matrix_whose_mean_overflows(tmp_path, capsys):
+    matrix = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1e308], [1, 1, 1e308, 0]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"taxa": list("abcd"), "matrix": matrix}))
+    argv = ["tree", "fourpoint", "--distances", str(path)]
+    _exit_2_without_output(argv, capsys, "entry d[c,d]=1e+308 is too large to symmetrize")
+    matrix[2][3] = matrix[3][2] = 8e307
+    path.write_text(json.dumps({"taxa": list("abcd"), "matrix": matrix}))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] is False  # d[c,d] > d[c,a] + d[a,d]
 
 
 def test_cli_tree_mtree_and_gr36(tmp_path, capsys):
@@ -1029,6 +1043,86 @@ def test_a_pair_with_no_usable_site_is_named(sites):
     with pytest.raises(ValueError) as info:
         distances_from_alignment(aln)
     assert str(info.value) == "pair (a, b): site count must be at least 1"
+
+
+def _loop_distances(alignment):
+    """distances_from_alignment as one jc_distance call and one row per
+    pair, in (i, j) order: the reference for the bulk table."""
+    import numpy as np
+
+    from phylokit.evolution import SaturationError, jc_distance
+    from phylokit.pipeline import _bit_planes, _site_counts
+
+    taxa = alignment.taxa
+    planes = _bit_planes(alignment.codes)
+    pairwise = []
+    for i, a in enumerate(taxa):
+        usable, differing = _site_counts(planes, i)
+        for b, n, k in zip(taxa[i + 1:], usable.tolist(), differing.tolist()):
+            try:
+                dist = jc_distance(n, k)
+            except SaturationError as exc:
+                raise SaturationError(f"pair ({a}, {b}) is saturated: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"pair ({a}, {b}): {exc}") from None
+            pairwise.append((a, b, n, k, dist))
+    values = np.zeros((len(taxa), len(taxa)))
+    rows, cols = np.triu_indices(len(taxa), 1)
+    values[rows, cols] = values[cols, rows] = [p[-1] for p in pairwise]
+    return pairwise, (values + values.T) / 2.0
+
+
+def _distance_outcome(fn, alignment):
+    try:
+        pairwise, values = fn(alignment)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    values = getattr(values, "values", values)
+    rows = [(a, b, n, k, struct.pack("<d", d)) for a, b, n, k, d in pairwise]
+    return rows, values.tobytes()
+
+
+def test_distances_from_alignment_match_the_pair_loop_bit_for_bit():
+    """Random alignments with N, gaps and lowercase letters: the same
+    pairs, counts and distance bits, or the same error for the first
+    saturated or site-less pair in (i, j) order."""
+    import numpy as np
+
+    g = rng(2830)
+    kinds = collections.Counter()
+    for trial in range(400):
+        taxa, sites = int(g.integers(2, 10)), int(g.integers(1, 90))
+        masked = float(g.choice([0.0, 0.3, 0.8]))
+        related = g.random() < 0.7  # near copies of one row: few saturated pairs
+        base = g.choice(list("ACGT"), sites)
+        records = []
+        for t in g.permutation(taxa):
+            row = base.copy() if related else g.choice(list("ACGT"), sites)
+            u = g.random(sites)
+            row[u < 0.15] = g.choice(list("ACGT"), int((u < 0.15).sum()))
+            row[g.random(sites) < masked] = g.choice(list("-Nn"))
+            lower = g.random(sites) < 0.3
+            row[lower] = np.char.lower(row[lower])
+            records.append((f"t{t}", "".join(row)))
+        aln = AlignedFasta(records=tuple(records))
+        want = _distance_outcome(_loop_distances, aln)
+        assert _distance_outcome(distances_from_alignment, aln) == want, records
+        kinds[want[0] if isinstance(want[0], str) else "table"] += 1
+    assert min(kinds.values()) >= 20, kinds  # each outcome is exercised
+
+
+def test_distances_name_the_first_bad_pair_in_pair_order():
+    # (a, c) has no usable site and (b, c) is saturated; (a, b) is fine
+    aln = AlignedFasta.from_text(">c\n----CATG\n>b\nACGTACGT\n>a\nACGT----\n")
+    with pytest.raises(ValueError) as info:
+        distances_from_alignment(aln)
+    assert str(info.value) == "pair (a, c): site count must be at least 1"
+    aln = AlignedFasta.from_text(">c\nCATGCATG\n>b\nACGTACGT\n>a\nACGTACGT\n")
+    with pytest.raises(ValueError) as info:
+        distances_from_alignment(aln)
+    assert str(info.value) == (
+        "pair (a, c) is saturated: 8 differences in 8 sites exceed the resolvable fraction 3/4"
+    )
 
 
 def _m700_matrix_text():

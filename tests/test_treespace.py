@@ -5,6 +5,7 @@ linear relations, and topology counting."""
 import json
 import math
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -753,6 +754,24 @@ def test_dissimilarity_map_rejects_infinite_entries():
     for bad in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="inf"):
             DissimilarityMap(taxa=("a", "b"), values=np.array([[0, bad], [bad, 0]]))
+
+
+def test_dissimilarity_map_refuses_an_entry_whose_mean_overflows():
+    taxa = ("a", "b", "c", "d")
+    values = np.ones((4, 4)) - np.eye(4)
+    for big in (1e308, -1e308, np.finfo(float).max):
+        values[2, 3] = values[3, 2] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ValueError) as info:
+                DissimilarityMap(taxa=taxa, values=values)
+        assert str(info.value) == (
+            f"entry d[c,d]={float(big)!r} is too large to symmetrize: d[i,j] + d[j,i] overflows"
+        )
+    for fits in (8e307, -8e307, np.finfo(float).max / 2):
+        values[2, 3] = values[3, 2] = fits
+        dm = DissimilarityMap(taxa=taxa, values=values)
+        assert dm.get("c", "d") == dm.get("d", "c") == float(fits)
 
 
 def test_m_dissimilarity_map_rejects_non_finite_values():
