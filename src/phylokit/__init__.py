@@ -67,7 +67,9 @@ from .pipeline import (
 from .semirings import (
     ChainSpec,
     LatticePolygon,
+    TreeSpec,
     evaluate_chain,
+    evaluate_tree,
     polygon_product,
     polygon_sum,
 )

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .alphabet import NUCLEOTIDES, encode
-from .semirings import LogSemiring
+from .semirings import LogSemiring, TreeSpec, evaluate_tree
 from .trees import PhyloTree
 
 
@@ -141,21 +141,26 @@ def jc_distance(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # pattern probabilities on trees
 
+#: a leaf's log message, by the code of its letter
+_LOG_INDICATOR = np.where(np.eye(4, dtype=bool), LogSemiring.one, LogSemiring.zero)
 
-def _pruning_root(tree: PhyloTree) -> int:
-    for node in tree.nodes():
-        if not tree.is_leaf(node):
-            return node
-    return tree.node_of(min(tree.taxa))
+
+def _rooted_edges(tree: PhyloTree) -> tuple[int, list[tuple[int, int]]]:
+    """The root (the first internal node, else the first leaf by label) and
+    the parent->child edges of ``children_from(root)``, parents first."""
+    root = next((v for v in tree.nodes() if not tree.is_leaf(v)), None)
+    if root is None:
+        root = tree.node_of(min(tree.taxa))
+    children = tree.children_from(root).items()
+    return root, [(parent, child) for parent, kids in children for child in kids]
 
 
 def log_pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
     """log of the probability of observing ``pattern`` (taxon -> nucleotide)
-    at the leaves, with a uniform root distribution.
-
-    Computed by leaf-to-root elimination on log messages, which do not
-    underflow; reversibility of the symmetric model makes the value
-    independent of which node plays the root.
+    at the leaves, with a uniform root distribution: one ``evaluate_tree``
+    fold of JC log weights under ``LogSemiring``, which do not underflow.
+    Reversibility of the symmetric model makes the value independent of
+    which node plays the root.
     """
     taxa = tree.taxa
     if not taxa:
@@ -163,11 +168,6 @@ def log_pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> floa
     missing = [t for t in taxa if t not in pattern]
     if missing:
         raise ValueError(f"pattern is missing leaves: {missing}")
-    # a leaf (which may serve as the root) starts from its observed-letter
-    # indicator, any other node from ones, which sums an unlabeled leaf out;
-    # walked backwards, the preorder reaches every child before its parent
-    sr = LogSemiring
-    onehot, ones = np.where(np.eye(4, dtype=bool), sr.one, sr.zero), np.full(4, sr.one)
     letters = [pattern[t] for t in taxa]
     try:
         if set(map(len, letters)) != {1}:
@@ -180,18 +180,18 @@ def log_pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> floa
             except ValueError:  # a bad character, or not exactly one
                 raise ValueError(f"invalid nucleotide {letter!r} for leaf {t!r}") from None
         raise
-    below = dict(zip(map(tree.node_of, taxa), onehot[codes]))
-    root = _pruning_root(tree)
+    root, edges = _rooted_edges(tree)
+    index = {root: 0} | {child: i for i, (_, child) in enumerate(edges, 1)}
+    # log pi off the diagonal, log theta = log(1 - 3 pi) on it; pi = -expm1(-4 b / 3) / 4
+    decay = np.expm1(np.array([tree.edge_length(p, c) for p, c in edges]) * (-4.0 / 3.0))
     with np.errstate(divide="ignore"):  # log pi is -inf at b = 0
-        for parent, kids in reversed(tree.children_from(root).items()):
-            for child in reversed(kids):
-                # JC edge: (theta - pi) v + pi sum(v), theta - pi = e^s
-                s = -4.0 * tree.edge_length(parent, child) / 3.0
-                log_pi = np.log(-math.expm1(s) / 4.0)
-                v = below.pop(child, ones)
-                step = sr.add(sr.mul(s, v), sr.mul(log_pi, sr.add.reduce(v)))
-                below[parent] = sr.mul(below.get(parent, sr.one), step)
-    return float(sr.add.reduce(sr.mul(math.log(0.25), below[root])))
+        weights = np.repeat(np.log(decay * -0.25), 16).reshape(-1, 4, 4)
+    weights.reshape(-1, 16)[:, ::5] = np.log1p(decay * 0.75)[:, None]
+    leaves = np.full((len(index), 4), LogSemiring.one)
+    leaves[[index[tree.node_of(t)] for t in taxa]] = _LOG_INDICATOR[codes]
+    parents = np.array([-1] + [index[parent] for parent, _ in edges])
+    spec = TreeSpec(parents, weights, (math.log(0.25),) * 4, leaves)
+    return evaluate_tree(spec, LogSemiring)
 
 
 def pattern_probability(tree: PhyloTree, pattern: Mapping[str, str]) -> float:
@@ -360,11 +360,10 @@ def simulate_leaf_sequences(
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    root = _pruning_root(tree)
+    root, edges = _rooted_edges(tree)
     philox = np.random.Philox(0)
     root_lanes = _lanes(_stream(seed, _ROOT_STREAM, philox), length)
     states: dict[int, np.ndarray] = {root: (root_lanes >> 14).astype(np.uint8)}
-    edges = [(p, c) for p, kids in tree.children_from(root).items() for c in kids]
     for index, (parent, child) in enumerate(edges):
         edge = edge_params_from_length(tree.edge_length(parent, child))
         if edge.pi == 0.0:

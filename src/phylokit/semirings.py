@@ -1,14 +1,19 @@
-"""Computation semirings and the generic chain dynamic-programming evaluator.
+"""Computation semirings and the generic chain and tree dynamic-programming
+evaluators.
 
-Four semirings drive one shared fold: probability arithmetic, its log
-(log-sum-exp, +), max-plus (tropical) arithmetic, and lattice polygons
-under (convex hull of union, Minkowski sum).  Summing a product of step
-weights over all state paths of a chain is the same algorithm in each
-case; only the (add, mul) pair of ufuncs changes.  Under max-plus the
+Four semirings drive one sum-product fold: probability arithmetic, its
+log (log-sum-exp, +), max-plus (tropical) arithmetic, and lattice
+polygons under (convex hull of union, Minkowski sum).  The fold has three
+shapes: a chain (:func:`evaluate_chain`), the pair-HMM grid (``pairhmm``)
+and a rooted tree (:func:`evaluate_tree`, edges into leaves in one array
+step, then one step per internal edge, children before parents).
+Summing a product of weights over all state paths of a chain, or over
+all state labellings of a tree, is the same algorithm in each case; only
+the (add, mul) pair of ufuncs changes.  Under max-plus the
 chain fold also recovers the arg-max path from integer backpointers,
 each state's best prefix packed into one complex key (log weight, label
 sequence) that numpy's lexicographic complex order compares at once.
-Under log-sum-exp the fold first multiplies blocks of about sqrt(n)
+Under log-sum-exp the chain fold first multiplies blocks of about sqrt(n)
 steps together in linear weights, all blocks at once, with a block
 length certified to keep every path term above underflow; a chain of n
 positions then takes about 2 sqrt(n) array steps instead of n.
@@ -336,3 +341,93 @@ def _argmax_chain(spec: ChainSpec) -> ChainResult:
         state = row[state]
         path.append(spec.labels[state])
     return ChainResult(value, tuple(reversed(path)))
+
+
+# ---------------------------------------------------------------------------
+# tree specifications and evaluation
+
+
+@dataclass(frozen=True, eq=False)
+class TreeSpec:
+    """Weights of a k-state model on a rooted tree of ``len(parents)`` nodes.
+
+    Node 0 is the root and every other node follows its parent:
+    ``parents[0]`` is -1 and ``0 <= parents[v] < v`` for v >= 1.  Node v
+    hangs from its parent by edge v - 1, and ``weights[v - 1, i, j]`` is
+    the weight of moving from state i at the parent to state j at v.
+    ``root[i]`` is the weight of state i at the root and ``leaves[v, i]``
+    the evidence for state i at node v, ``one`` where there is none (at
+    internal nodes and unlabeled leaves, which sums them out).  All
+    weights must live in the semiring the tree is later evaluated under.
+    ``weights`` and ``leaves`` are arrays of shape ``(nodes - 1, k, k)``
+    and ``(nodes, k)`` or nestings that ``np.asarray`` turns into them,
+    as in :class:`ChainSpec`.  Specs compare and hash by identity.
+    """
+
+    parents: np.ndarray
+    weights: np.ndarray
+    root: tuple
+    leaves: np.ndarray
+
+    def __post_init__(self):
+        k = len(self.root)
+        if k == 0:
+            raise ValueError("tree needs at least one state")
+        object.__setattr__(self, "root", tuple(self.root))
+        parents = np.asarray(self.parents)
+        n = len(parents)
+        if parents.ndim != 1 or n == 0 or parents.dtype.kind != "i":
+            raise ValueError("parents must be a non-empty 1-D array of node indices")
+        # a negative parent cast to unsigned is at least 2**63
+        ahead = parents[1:].astype(np.uint64) < np.arange(1, n, dtype=np.uint64)
+        if parents[0] != -1 or not ahead.all():
+            raise ValueError("parents[0] must be -1 and each parent must precede its child")
+        object.__setattr__(self, "parents", parents)
+        weights = np.asarray(self.weights)  # a ragged nesting raises here
+        if weights.shape == (0,):
+            weights = weights.reshape(0, k, k)
+        if weights.shape != (n - 1, k, k):
+            raise ValueError(
+                f"weights must have shape ({n - 1}, {k}, {k}), got {weights.shape}"
+            )
+        object.__setattr__(self, "weights", weights)
+        leaves = np.asarray(self.leaves)
+        if leaves.shape != (n, k):
+            raise ValueError(f"leaves must have shape ({n}, {k}), got {leaves.shape}")
+        object.__setattr__(self, "leaves", leaves)
+
+    @property
+    def states(self) -> int:
+        return len(self.root)
+
+    @property
+    def nodes(self) -> int:
+        return len(self.parents)
+
+
+def evaluate_tree(spec: TreeSpec, semiring: Semiring) -> object:
+    """Fold the tree: add over all state labellings of its nodes of the mul
+    of the root weight, every edge weight and every node's leaf message.
+
+    A node's message is its leaf message times, for each child, the sum
+    over the child's states of the edge weight times the child's message;
+    the value is the sum over root states of the root weight times the
+    root's message, in state order.  The edges into childless nodes are
+    stepped in one array call, then the others one at a time in reverse
+    node order, so every child is done before its parent: O(nodes *
+    states^2) semiring operations in about as many array steps as there
+    are internal nodes.
+    """
+    sr, parents, weights = semiring, spec.parents, spec.weights
+    msg = spec.leaves.astype(np.result_type(spec.leaves, weights))
+    kids = np.bincount(parents[1:], minlength=spec.nodes)[1:]  # of nodes 1, 2, ...
+    leaf = (kids == 0).nonzero()[0] + 1  # the childless nodes but the root
+    step = sr.add.reduce(sr.mul(weights[leaf - 1], msg[leaf][:, None]), axis=2)
+    sr.mul.at(msg, parents[leaf], step)
+    above = parents.tolist()
+    for edge in kids.nonzero()[0][::-1].tolist():
+        step = sr.add.reduce(sr.mul(weights[edge], msg[edge + 1]), axis=1)
+        row = msg[above[edge + 1]]
+        sr.mul(row, step, out=row)
+    # accumulate, unlike a 1-D reduce, sums strictly left to right
+    return sr.add.accumulate(sr.mul(np.asarray(spec.root), msg[0])).tolist()[-1]

@@ -29,7 +29,14 @@ from phylokit.evolution import (
     simulate_leaf_sequences,
     substitution_matrix,
 )
-from phylokit.formats import bundled_reference_tree
+from phylokit.formats import bundled_reference_tree, parse_newick
+from phylokit.semirings import (
+    LogSemiring,
+    MaxPlusSemiring,
+    ProbabilitySemiring,
+    TreeSpec,
+    evaluate_tree,
+)
 from phylokit.trees import PhyloTree
 
 from conftest import caterpillar, random_tree, rng
@@ -310,7 +317,7 @@ def _breadth_first_pruning(tree, pattern):
     mats = {}
     for u, v, length in tree.edges():
         mats[(u, v)] = mats[(v, u)] = edge_params_from_length(length).matrix()
-    root = evolution._pruning_root(tree)
+    root, _ = evolution._rooted_edges(tree)
     order = [(root, None)]
     for node, parent in order:
         order.extend((child, node) for child in tree.neighbors(node) if child != parent)
@@ -469,6 +476,65 @@ def test_zero_length_edges_raise_no_warning():
         assert log_pattern_probability(claw, acg) == float("-inf")
         want = pattern_probability(claw, {"x": "A", "y": "C", "z": "A"})
     assert want == pytest.approx(0.25 * edge_params_from_length(0.3).pi, rel=1e-12)
+
+
+def _jc_log_spec(tree, pattern):
+    """The log-weight tree spec of ``pattern`` on the rooted edge list:
+    logs of ``edge_params_from_length`` matrices, a uniform root, and the
+    log of each leaf's letter indicator (ones at every other node)."""
+    root, edges = evolution._rooted_edges(tree)
+    order = [root] + [child for _, child in edges]
+    index = {v: i for i, v in enumerate(order)}
+    lengths = [tree.edge_length(p, c) for p, c in edges]
+    indicators = [
+        np.eye(4)[NUC.index(pattern[tree.label_of(v)])] if tree.is_leaf(v) else np.ones(4)
+        for v in order
+    ]
+    with np.errstate(divide="ignore"):
+        weights = np.log([edge_params_from_length(b).matrix() for b in lengths])
+        leaves = np.log(indicators)
+    parents = [-1] + [index[p] for p, _ in edges]
+    return TreeSpec(parents, weights, (math.log(0.25),) * 4, leaves)
+
+
+def _best_internal_labelling(tree, pattern):
+    """The largest log probability of a full labelling that agrees with
+    ``pattern``, by enumerating the letters of every unlabeled node: log 1/4
+    plus each edge's log substitution probability, in any orientation."""
+    free = [v for v in tree.nodes() if not tree.is_leaf(v)]
+    fixed = {tree.node_of(t): NUC.index(x) for t, x in pattern.items()}
+    with np.errstate(divide="ignore"):
+        logs = [
+            (u, v, np.log(edge_params_from_length(b).matrix()).tolist())
+            for u, v, b in tree.edges()
+        ]
+    best = -math.inf
+    for letters in itertools.product(range(4), repeat=len(free)):
+        x = fixed | dict(zip(free, letters))
+        best = max(best, math.log(0.25) + sum(w[x[u]][x[v]] for u, v, w in logs))
+    return best
+
+
+def test_tree_fold_under_three_records():
+    # a degree-2 root, a zero-length internal edge, a zero-length pendant
+    # edge (f) and an unlabeled leaf beside a and b: seven leaves, five
+    # unlabeled nodes
+    tree = parse_newick("((a:0.1,b:0.2):0.05,((c:0.3,f:0.0):0.1,(d:0.15,e:0.25):0.0):0.6);")
+    tree.add_edge(next(iter(tree.neighbors(tree.node_of("a")))), tree.add_node(), 0.3)
+    assert sorted(map(tree.degree, tree.nodes())) == [1] * 7 + [2, 3, 3, 3, 4]
+    assert 0.0 in {length for _, _, length in tree.edges()}
+    g = rng(95)
+    for _ in range(8):
+        pattern = {t: NUC[i] for t, i in zip(tree.taxa, g.integers(0, 4, size=6))}
+        spec = _jc_log_spec(tree, pattern)
+        log_p = log_pattern_probability(tree, pattern)
+        assert evaluate_tree(spec, LogSemiring) == pytest.approx(log_p, rel=1e-12)
+        best = _best_internal_labelling(tree, pattern)
+        assert math.isfinite(best)
+        assert evaluate_tree(spec, MaxPlusSemiring) == pytest.approx(best, rel=1e-12)
+        linear = [np.exp(x) for x in (spec.weights, spec.root, spec.leaves)]
+        got = evaluate_tree(TreeSpec(spec.parents, *linear), ProbabilitySemiring)
+        assert got == pytest.approx(math.exp(log_p), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +855,8 @@ def test_rooted_edge_order_matches_leaves_beyond_order():
 
 def test_rooted_edge_order_on_a_2000_leaf_caterpillar():
     tree = caterpillar(2000, 3300)
-    root = evolution._pruning_root(tree)
-    assert _preorder_edges(tree, root) == _leaves_beyond_edge_order(tree, root)
+    root, edges = evolution._rooted_edges(tree)
+    assert edges == _preorder_edges(tree, root) == _leaves_beyond_edge_order(tree, root)
 
 
 def test_simulation_validation():

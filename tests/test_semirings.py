@@ -1,5 +1,5 @@
-"""Semiring values, polygon arithmetic, and the chain evaluator, checked
-against path enumeration and gift-wrapping oracles."""
+"""Semiring values, polygon arithmetic, and the chain and tree evaluators,
+checked against path and labelling enumeration and gift-wrapping oracles."""
 
 import itertools
 import logging
@@ -19,8 +19,10 @@ from phylokit.semirings import (
     MaxPlusSemiring,
     PolygonSemiring,
     ProbabilitySemiring,
+    TreeSpec,
     convex_hull,
     evaluate_chain,
+    evaluate_tree,
     polygon_product,
     polygon_sum,
 )
@@ -607,3 +609,82 @@ def test_chain_spec_gives_one_array_form_for_every_steps_input():
         polygons = _random_polygons(g, (2, k, k))
         nested = ChainSpec(initial=tuple(polygons[0, 0]), steps=polygons.tolist()).steps
         assert (nested.shape, nested.dtype) == (polygons.shape, polygons.dtype)
+
+
+# ---------------------------------------------------------------------------
+# tree evaluation
+
+
+def _random_tree_spec(g, nodes, k, draw, one):
+    """A random rooted tree with every parent before its child, so degree-2
+    nodes occur, weights from ``draw``, and ``one`` as the leaf message of
+    every internal node and of about a third of the childless ones."""
+    parents = [-1] + [int(g.integers(0, v)) for v in range(1, nodes)]
+    leaves = draw(g, (nodes, k))
+    childless = set(range(nodes)) - set(parents)
+    for v in range(nodes):
+        if v not in childless or g.random() < 0.3:
+            leaves[v] = one
+    return TreeSpec(parents, draw(g, (nodes - 1, k, k)), tuple(draw(g, k)), leaves)
+
+
+def _labelling_weights(spec, mul):
+    """The mul of the root weight, leaf messages and edge weights of every
+    labelling of the nodes, in lexicographic order of the labellings."""
+    for labels in itertools.product(range(spec.states), repeat=spec.nodes):
+        terms = [spec.root[labels[0]]]
+        terms += [spec.leaves[v][s] for v, s in enumerate(labels)]
+        terms += [
+            spec.weights[v - 1][labels[p]][labels[v]]
+            for v, p in enumerate(spec.parents.tolist()) if v
+        ]
+        yield reduce(mul, terms)
+
+
+@pytest.mark.parametrize(
+    "sr, add, mul, draw", _RECORDS, ids=("prob", "max-plus", "polygon", "log")
+)
+def test_tree_fold_matches_the_sum_over_labellings(sr, add, mul, draw):
+    g = rng(40)
+    for trial in range(30):
+        k, nodes = 1 + trial % 3, 1 + trial % 6
+        if sr is PolygonSemiring and k ** nodes > 250:
+            k = 1 + k // 3
+        spec = _random_tree_spec(g, nodes, k, draw, sr.one)
+        want = reduce(add, _labelling_weights(spec, mul))
+        got = evaluate_tree(spec, sr)
+        if sr is PolygonSemiring or not math.isfinite(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_tree_spec_refuses_malformed_input():
+    parents, weights, leaves = [-1, 0, 0], np.zeros((2, 2, 2)), np.zeros((3, 2))
+    TreeSpec(parents, weights, (0.0, 0.0), leaves)
+    for bad in (
+        dict(weights=np.zeros((2, 2, 3))),
+        dict(weights=np.zeros((3, 2, 2))),
+        dict(weights=(((0.0, 0.0), (0.0,)), ((0.0, 0.0), (0.0, 0.0)))),  # ragged
+        dict(root=(0.0, 0.0, 0.0)),
+        dict(root=(0.0,)),
+        dict(root=()),
+        dict(leaves=np.zeros((3, 3))),
+        dict(leaves=np.zeros((2, 2))),
+        dict(parents=[-1, 1, 0]),  # a node is its own parent
+        dict(parents=[-1, 2, 0]),  # a parent after its child
+        dict(parents=[-1, 0, -1]),  # a second root
+        dict(parents=[0, 0, 0]),
+        dict(parents=[-1, 0, 0.0]),
+        dict(parents=[[-1, 0, 0]]),
+    ):
+        args = dict(parents=parents, weights=weights, root=(0.0, 0.0), leaves=leaves)
+        with pytest.raises(ValueError):
+            TreeSpec(**(args | bad))
+
+
+def test_tree_of_one_node_sums_its_leaf_message():
+    for weights in ((), [], np.zeros((0, 3, 3))):
+        spec = TreeSpec([-1], weights, (0.25, 0.5, 0.25), [[1.0, 0.0, 2.0]])
+        assert spec.weights.shape == (0, 3, 3)
+        assert evaluate_tree(spec, ProbabilitySemiring) == 0.75
