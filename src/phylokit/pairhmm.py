@@ -36,6 +36,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import NUCLEOTIDES, encode  # NUCLEOTIDES is re-exported
 from .semirings import LatticePolygon, ProbabilitySemiring, Semiring, convex_hull
@@ -306,6 +307,15 @@ def log_alignment_monomial(p: PairHmmParams, word: str, s1: str, s2: str) -> flo
 # diagonal reads and none wrote is zero, as are the states that cannot
 # occur (M or I at j = 0, M or D at i = 0).
 #
+# The start node lies on diagonal 0, so only diagonals 1 and 2 read it:
+# from d = 3 on, the candidates, products and sums run over the three
+# sources M, I and D alone.  The dropped term is zero, +0.0 under
+# addition and NaN under fmax, so no sum and no tie changes.  I at row i
+# and D at row i - 1 both read diagonal d - 1, I at column i + 1 and D
+# at column i; one read-only (2 targets, sources, n + 1) window of each
+# ring slot lays the two side by side, so one multiply by their
+# transitions fills both candidate rows.
+#
 # Probability rescales every diagonal by an exact power of two, so that
 # its largest entry lies in [1/2, 1), and carries the exponents apart
 # (Durbin et al., Biological Sequence Analysis, 1998, section 3.6).  The
@@ -337,9 +347,11 @@ def _sweep(tables, c1: np.ndarray, c2: np.ndarray, sr: Semiring, step):
 
     ``tables`` are the transition, match, insert and delete tables in the
     values of the float semiring ``sr``.  ``step(d, lo, hi, cand, nodes)``
-    sees views of diagonal d's (3, 4, w) candidates by target and source
-    and its (3, w) sums for rows lo .. hi, and may rewrite ``nodes`` in
-    place.  Returns the final cell's M, I and D."""
+    sees views of diagonal d's (3, sources, w) candidates by target and
+    source and its (3, w) sums for rows lo .. hi, and may rewrite
+    ``nodes`` in place.  The sources are M, I, D and start on diagonals 1
+    and 2, and M, I and D alone from diagonal 3 on, where the start node
+    feeds nothing.  Returns the final cell's M, I and D."""
     trans, match, insert, delete = tables
     trans = np.vstack((trans, np.full(3, sr.one))).T[:, :, None]  # [target, source]
     a, b = (np.concatenate(([0], c)) for c in (c1, c2))  # 1-based letters
@@ -350,15 +362,20 @@ def _sweep(tables, c1: np.ndarray, c2: np.ndarray, sr: Semiring, step):
     at, emit_m = a * (m + 1) + np.arange(n + 1), np.empty(n + 1)
     vals = np.full((3, 4, n + 2), sr.zero)  # diagonal d in vals[d % 3]
     vals[0, _START, 1] = sr.one
+    # side[s, t - 1, :, i] is vals[s, :, i + 1] for t = I, vals[s, :, i] for D
+    side = sliding_window_view(vals, 2, 2)[..., ::-1].transpose(0, 3, 1, 2)
+    to_m, to_side = trans[0], trans[1:]
     cand = np.empty((3, 4, n + 1))
     for d in range(1, n + m + 1):
+        if d == 3:  # the start node feeds diagonals 1 and 2 only
+            vals, side, cand = vals[:, :3], side[:, :, :3], cand[:, :3]
+            to_m, to_side = to_m[:3], to_side[:, :3]
         lo, hi = max(0, d - m), min(n, d)
         rows, cols = slice(lo, hi + 1), slice(m - d + lo, m - d + hi + 1)
-        c = cand[:, :, :hi - lo + 1]
+        c = cand[..., :hi - lo + 1]
         # sources: M row i - 1 of diagonal d - 2, I row i and D row i - 1 of d - 1
-        sr.mul(vals[(d - 2) % 3, :, rows], trans[0], c[0])
-        sr.mul(vals[(d - 1) % 3, :, lo + 1:hi + 2], trans[1], c[1])
-        sr.mul(vals[(d - 1) % 3, :, rows], trans[2], c[2])
+        sr.mul(vals[(d - 2) % 3, :, rows], to_m, c[0])
+        sr.mul(side[(d - 1) % 3, ..., rows], to_side, c[1:])
         e = emit_m[:hi - lo + 1]
         match_at[n + m - d:].take(at[rows], None, e)
         sr.mul(c[0], e, c[0])
@@ -367,8 +384,6 @@ def _sweep(tables, c1: np.ndarray, c2: np.ndarray, sr: Semiring, step):
         nodes = vals[d % 3, :3, lo + 1:hi + 2]
         sr.add.reduce(c, 1, None, nodes)
         step(d, lo, hi, c, nodes)
-        if d == 2:  # the start node feeds diagonals 1 and 2 only
-            vals[0, _START, 1] = sr.zero
     return vals[(n + m) % 3, :3, n + 1]
 
 
@@ -380,7 +395,7 @@ def _scaled_probability(p: PairHmmParams, s1: str, s2: str) -> tuple[float, int]
     def step(d, lo, hi, cand, nodes):
         # M comes from diagonal d - 2: express it in d - 1's units
         np.ldexp(nodes[0], exps[-2] - exps[-1], nodes[0])
-        shift = math.frexp(nodes.max())[1]
+        shift = math.frexp(np.maximum.reduce(nodes, None))[1]
         exps.append(exps[-1] + shift)
         np.ldexp(nodes, -shift, nodes)
 
@@ -577,9 +592,10 @@ def _viterbi(p: PairHmmParams, c1: np.ndarray, c2: np.ndarray) -> ScoredAlignmen
     flags = np.empty((3, 4, n + 1), dtype=np.uint8)
 
     def step(d, lo, hi, cand, nodes):
-        f = flags[:, :, :hi - lo + 1]
+        sources = cand.shape[1]  # the start state is a source on d = 1, 2 only
+        f = flags[:, :sources, :hi - lo + 1]
         np.equal(cand, nodes[:, None, :], f)
-        f *= _SOURCE_BITS
+        f *= _SOURCE_BITS[:sources]
         np.add.reduce(f, 1, None, tight[:, base[d] + lo:base[d] + hi + 1])
 
     final = _sweep(tables, c1, c2, _VITERBI, step)

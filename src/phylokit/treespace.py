@@ -18,6 +18,8 @@ from .trees import PhyloTree
 
 _SYM_TOL = 1e-9
 _FOUR_POINT_SLACK = 1e-9
+#: the most (b, c, d) triples :func:`check_four_point` holds at once
+_TRIPLE_BLOCK = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +122,50 @@ def check_metric(delta: DissimilarityMap) -> Verdict:
 def check_four_point(delta: DissimilarityMap) -> Verdict:
     """For every four taxa, the two largest of the three pair-sums must
     agree (within a slack of 1e-9).  Vacuously true below four taxa.
-    The lexicographically first violating quartet is reported."""
+    The lexicographically first violating quartet is reported.
+
+    The triples b < c < d are built once per call in row-major order,
+    with their sums d(c,d), d(b,d) and d(b,c); each first taxon a then
+    scans the triples with b > a, a suffix, in one array pass.  Past
+    ``_TRIPLE_BLOCK`` triples they are built one block of b at a time,
+    each block scanned by every a that has no earlier violation, so
+    memory stays bounded."""
     taxa, dist = _sorted_values(delta)
     n = len(taxa)
     # every pair c < d in row-major order; first[b] is where c > b begins
     cs, ds = np.triu_indices(n, 1)
     cd = dist[cs, ds]
     first = np.cumsum(np.arange(n - 1, 0, -1))
-    for a in range(n - 3):
-        for b in range(a + 1, n - 2):
-            c, d = cs[first[b]:], ds[first[b]:]
-            x = dist[a, b] + cd[first[b]:]
-            y, z = dist[a, c] + dist[b, d], dist[a, d] + dist[b, c]
+    sizes = len(cs) - first  # triples with each b
+    before = np.concatenate(([0], np.cumsum(sizes)))  # triples with smaller b
+    witness, end = None, n - 3  # only a < end can give an earlier quartet
+    b0 = 1
+    while b0 < n - 2 and end:
+        b1 = int(np.searchsorted(before, before[b0] + _TRIPLE_BLOCK, "right")) - 1
+        b1 = min(n - 2, max(b0 + 1, b1))
+        # the triples with b0 <= b < b1; those with b > a start at at[a + 1 - b0]
+        at = before[b0:b1 + 1] - before[b0]
+        b = np.repeat(np.arange(b0, b1), sizes[b0:b1])
+        pair = np.arange(at[-1]) + np.repeat(first[b0:b1] - at[:-1], sizes[b0:b1])
+        c, d = cs[pair], ds[pair]
+        bcd, bd, bc = cd[pair], dist[b, d], dist[b, c]
+        for a in range(min(end, b1 - 1)):
+            s = at[max(0, a + 1 - b0)]
+            row = dist[a]
+            x = row[b[s:]] + bcd[s:]
+            y, z = row[c[s:]] + bd[s:], row[d[s:]] + bc[s:]
             # the largest and the middle sum, the same floats sorting would give
             hi, lo = np.maximum(x, y), np.minimum(x, y)
             top, mid = np.maximum(hi, z), np.maximum(lo, np.minimum(hi, z))
             bad = top - mid > _FOUR_POINT_SLACK
             if bad.any():
-                k = int(bad.argmax())
-                return Verdict(False, (taxa[a], taxa[b], taxa[c[k]], taxa[d[k]]))
-    return Verdict(True)
+                k = s + int(bad.argmax())
+                witness, end = (a, b[k], c[k], d[k]), a
+                break
+        b0 = b1
+    if witness is None:
+        return Verdict(True)
+    return Verdict(False, tuple(taxa[x] for x in witness))
 
 
 def tree_metric(tree: PhyloTree) -> DissimilarityMap:

@@ -686,18 +686,30 @@ def _zero_transition_params(g) -> PairHmmParams:
     )
 
 
+_SWEEP_PARAM_MAKERS = (
+    _random_pair_params,
+    lambda g: scoring_scheme_params(
+        ScoringScheme(mismatch=float(g.integers(0, 3)), gap=float(g.integers(0, 3)))
+    ),
+    _integer_log_params,
+    _zero_transition_params,
+)
+
+
 def test_sweep_matches_the_stacked_sweep_on_random_tie_and_two_letter_pairs():
     g = rng(90)
-    makers = (
-        _random_pair_params,
-        lambda g: scoring_scheme_params(
-            ScoringScheme(mismatch=float(g.integers(0, 3)), gap=float(g.integers(0, 3)))
-        ),
-        _integer_log_params,
-        _zero_transition_params,
-    )
     for t, (s1, s2) in enumerate(_sweep_oracle_pairs(g, 240)):
-        _assert_same_as_stacked(makers[t % 4](g), s1, s2)
+        _assert_same_as_stacked(_SWEEP_PARAM_MAKERS[t % 4](g), s1, s2)
+
+
+def test_sweep_matches_the_stacked_sweep_where_the_start_source_drops_out():
+    # the start node is a source on diagonals 1 and 2 only: these pairs end
+    # on either side of that switch, or run long past it on one row
+    g = rng(93)
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 40), (40, 1)):
+        for make in _SWEEP_PARAM_MAKERS:
+            for s1, s2 in ((_random_dna(g, n), _random_dna(g, m)), ("A" * n, "A" * m)):
+                _assert_same_as_stacked(make(g), s1, s2)
 
 
 def test_sweep_matches_the_stacked_sweep_at_underflow_and_overflow():

@@ -628,6 +628,25 @@ def _witness_cases():
         values = np.array(base.values)
         np.fill_diagonal(values, g.uniform(-1e-12, 1e-12, n))
         yield "tree", DissimilarityMap(taxa=base.taxa, values=values)
+    # benchmark size: a 30-taxon tree metric, and one whose violations all
+    # lie past the tenth taxon.  Quartets through one taxon bound every
+    # violation to twice theirs (the four-point condition in Gromov
+    # products), so this needs the slack: the cross pairs (p, r) and (q, s)
+    # of a quartet pq|rs grow by 8e-10, which moves any quartet holding one
+    # of them by 8e-10, under the slack, and pq|rs itself by 1.6e-9.
+    base = tree_metric(random_tree(9900, 30))
+    yield "tree", base
+    w, x, y, z = (base.taxa[k] for k in (12, 17, 21, 26))
+    # the pairing with the least sum is the quartet's split pq|rs
+    p, q, r, s = min(
+        ((w, x, y, z), (w, y, x, z), (w, z, x, y)),
+        key=lambda t: base.get(t[0], t[1]) + base.get(t[2], t[3]),
+    )
+    values = np.array(base.values)
+    for u, v in ((p, r), (q, s)):
+        i, j = base.index(u), base.index(v)
+        values[i, j] = values[j, i] = values[i, j] + 8e-10
+    yield "late_violation", DissimilarityMap(taxa=base.taxa, values=values)
 
 
 def test_witnesses_match_the_loop_scans():
@@ -639,15 +658,29 @@ def test_witnesses_match_the_loop_scans():
         assert four.ok == (want4 is None) and four.violation == want4, name
         assert metric.ok == (want3 is None) and metric.violation == want3, name
         verdicts.setdefault(name, set()).add((four.ok, metric.ok))
+        if name == "late_violation":
+            assert sorted(delta.taxa).index(want4[0]) >= 10
     # every family with failures shows them, and the boundary families
     # also pass some inputs, so both sides of each slack are exercised
     assert (False, False) in verdicts["negative"]
     assert any(not ok4 for ok4, _ in verdicts["perturbed"])
     assert verdicts["tree"] == {(True, True)}
+    assert verdicts["late_violation"] == {(False, True)}
     for name in ("four_point_slack", "four_point_grid"):
         assert {ok4 for ok4, _ in verdicts[name]} == {True, False}
     for name in ("triangle_slack", "line", "triangle_grouping"):
         assert {ok3 for _, ok3 in verdicts[name]} == {True, False}
+
+
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_four_point_in_triple_blocks_matches_one_block(monkeypatch, block):
+    import phylokit.treespace as treespace
+
+    cases = list(_witness_cases())
+    want = [check_four_point(delta) for _, delta in cases]
+    monkeypatch.setattr(treespace, "_TRIPLE_BLOCK", block)
+    for (name, delta), verdict in zip(cases, want):
+        assert check_four_point(delta) == verdict, name
 
 
 def _loop_neighbor_join(delta):
