@@ -207,16 +207,18 @@ def _forward(h: HmmParams, factors: np.ndarray, counts: list[int]):
             else:
                 np.matmul(alpha[prev : prev + n], h.trans, out=a)
                 a *= factors[start : start + n]
-            a.sum(axis=1, keepdims=True, out=s)
+            np.add.reduce(a, 1, keepdims=True, out=s)
             np.divide(a, s, out=a)
             prev, start = start, start + n
     return alpha, scales[:, 0]
 
 
-def _pack(sigmas: list) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _pack(sigmas: list) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """Observations packed as :func:`_forward` reads them: the symbol of
-    every row, the rows per position, and for each row past position 0
-    the row of the same sequence one position earlier."""
+    every row, the rows per position, for each row past position 0 the
+    row of the same sequence one position earlier, and the index in
+    ``sigmas`` of the sequence behind each row of a position (longest
+    first)."""
     lengths = np.array([len(s) for s in sigmas])
     order = np.argsort(-lengths, kind="stable")
     counts = len(lengths) - np.searchsorted(
@@ -230,24 +232,47 @@ def _pack(sigmas: list) -> tuple[np.ndarray, list[int], np.ndarray]:
     obs[rows] = np.concatenate([sigmas[s] for s in order])
     later = np.arange(counts[0], offsets[-1])
     position = np.repeat(np.arange(len(counts)), counts)[counts[0] :]
-    return obs, counts.tolist(), later - counts[position - 1]
+    return obs, counts.tolist(), later - counts[position - 1], order
 
 
-def _backward(h: HmmParams, factors, scales, counts) -> np.ndarray:
+def _backward(h: HmmParams, weights: np.ndarray, counts: list[int]) -> np.ndarray:
     """Scaled backward table of a packed batch; each sequence's pass
-    starts at 1 on its own last position."""
-    beta = np.empty_like(factors)
-    stop = len(factors)
+    starts at 1 on its own last position.
+
+    ``weights`` are the emission factors already divided by their row's
+    forward scale, one array operation for the whole table, so each
+    position is one multiply into a buffer and one matmul.  The caller
+    checks first that no scale is zero; a weight is then at most
+    1 / its scale.
+    """
+    beta = np.ones_like(weights)
+    buf = np.empty((counts[0], h.k))
+    trans_t = h.trans.T
+    stop = len(weights)
     m = 0  # rows at the next position, which start at ``stop``
     for n in reversed(counts):
-        b = beta[stop - n : stop]
         if m:
-            nxt = slice(stop, stop + m)
-            np.matmul(factors[nxt] * beta[nxt], h.trans.T, out=b[:m])
-            b[:m] /= scales[nxt, None]
-        b[m:] = 1.0
+            nxt, tmp = slice(stop, stop + m), buf[:m]
+            np.multiply(weights[nxt], beta[nxt], out=tmp)
+            np.matmul(tmp, trans_t, out=beta[stop - n : stop - n + m])
         stop, m = stop - n, n
     return beta
+
+
+def _zero_probability_error(counts, order, scales) -> ValueError:
+    """Name the first observation in ``data`` order that has a zero
+    scale, and the position where its prefix probability hits zero.
+    Each such sequence has one zero scale; its later rows are nan."""
+    offsets = np.cumsum([0] + counts)
+    rows = np.flatnonzero(scales == 0.0)
+    position = np.searchsorted(offsets, rows, side="right") - 1
+    seqs = order[rows - offsets[position]]
+    first = seqs.argmin()
+    return ValueError(
+        f"observation {seqs[first]} has zero probability under current "
+        f"model: its prefix probability is zero at position {position[first]} "
+        "(both indices count from 0)"
+    )
 
 
 def _normalized_rows(counts: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -279,7 +304,7 @@ def baum_welch_train(
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     sigmas = [_check_observation(h0, obs) for obs in data]
-    obs, counts, prev = _pack(sigmas)
+    obs, counts, prev, order = _pack(sigmas)
     onehot = (obs[:, None] == np.arange(h0.l)).astype(float)
     firsts = counts[0]  # rows of position 0, one per sequence
 
@@ -289,14 +314,15 @@ def baum_welch_train(
         factors = params.emit.T[obs]
         alpha, scales = _forward(params, factors, counts)
         if (scales == 0.0).any():
-            raise ValueError("observation has zero probability under current model")
+            raise _zero_probability_error(counts, order, scales)
         trace.append(float(np.log(scales).sum()))
         if it == max_iters or (len(trace) >= 2 and trace[-1] - trace[-2] < tol):
             return params, trace
-        beta = _backward(params, factors, scales, counts)
+        weights = factors / scales[:, None]
+        beta = _backward(params, weights, counts)
         gamma = alpha * beta
         gamma /= gamma.sum(axis=1, keepdims=True)
-        after = factors[firsts:] * beta[firsts:] / scales[firsts:, None]
+        after = weights[firsts:] * beta[firsts:]
         init_acc = gamma[:firsts].sum(axis=0)
         params = HmmParams(
             trans=_normalized_rows(params.trans * (alpha[prev].T @ after), params.trans),

@@ -305,14 +305,16 @@ def _argmax_chain(spec: ChainSpec) -> ChainResult:
     # positions, and each later position adds its label rank as one more
     # base-2**bits digit, an exact power-of-two multiple, so every key is
     # exact.  The prefixes are distinct (they end in distinct labels), and
-    # so are their keys.  numpy orders complex numbers lexicographically:
-    # per position one add, one argmax and one max pick each state's best
-    # weight and, among exact ties, the smallest label sequence, and the
-    # real parts are the plain float sums.  After ``period`` digits the
-    # 52-bit key is full, and the keys are replaced by their ranks (one
-    # argsort).  The steps are made complex one block of ``period`` at a
-    # time, each transposed so a state's candidates are one row; nothing
-    # else is materialized until the one traceback at the end.
+    # so are their keys.  numpy orders complex numbers lexicographically,
+    # so a max picks each state's best weight and, among exact ties, the
+    # smallest label sequence, and the real parts are the plain float
+    # sums.  After ``period`` digits the 52-bit key is full, and the keys
+    # are replaced by their ranks (one argsort).  The steps are made
+    # complex one block of ``period`` at a time, each transposed so a
+    # state's candidates are one row.  Per position one add turns the
+    # step's row into its candidates in place and one max keeps the best;
+    # the block's backpointers then come from one argmax over all its
+    # candidates.  Nothing else is materialized until the one traceback.
     k = spec.states
     by_label = sorted(range(k), key=lambda i: spec.labels[i])
     label_rank = np.empty(k)
@@ -325,14 +327,14 @@ def _argmax_chain(spec: ChainSpec) -> ChainResult:
     scores = np.empty(k, dtype=complex)
     scores.real = spec.initial
     scores.imag = -label_rank
-    cand = np.empty((k, k), dtype=complex)
+    add, best = np.add, np.maximum.reduce  # bound once: the loop is call-bound
     for start in range(0, len(steps), period):
         block = steps[start : start + period].transpose(0, 2, 1).astype(complex)
         block.imag = -digits[: len(block), :, None]
-        for t, w in enumerate(block, start):
-            np.add(scores, w, out=cand)
-            cand.argmax(axis=1, out=back[t])
-            np.maximum.reduce(cand, axis=1, out=scores)
+        for w in block:
+            add(scores, w, w)
+            best(w, 1, out=scores)
+        block.argmax(axis=2, out=back[start : start + len(block)])
         scores.imag[scores.imag.argsort()] = np.arange(1 - k, 1)
     state = int(scores.argmax())
     value = float(scores.real[state])

@@ -11,7 +11,9 @@ import pytest
 
 from phylokit.hmm import (
     HmmParams,
+    _backward,
     _forward,
+    _pack,
     baum_welch_train,
     forward_probability,
     log_forward,
@@ -515,6 +517,45 @@ def test_train_skewed_lengths_match_per_sequence_oracle():
         )
 
 
+def _edge_emissions(g, k, l):
+    """Emission rows with exact zeros and entries near 1e-150; every
+    symbol keeps one ordinary entry in some state, so every observation
+    has positive probability under positive transitions."""
+    emit = g.random((k, l)) + 0.05
+    cut = g.random((k, l))
+    emit[cut < 0.25] = 0.0
+    emit[(cut >= 0.25) & (cut < 0.45)] = 1e-150 * (1.0 + g.random())
+    emit[g.integers(0, k, size=l), np.arange(l)] = 0.5
+    return emit / emit.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_packed_forward_backward_match_the_per_sequence_passes(k):
+    # every row of alpha * beta is the posterior of its position and sums
+    # to 1; beta is each sequence's own scaled backward pass, though the
+    # packed pass runs all sequences at once on pre-divided weights
+    g = rng(80 + k)
+    lengths = [1, 2, 7, 7, 30]
+    for trial in range(4):
+        base = _random_params(g, k, 4)
+        emit = _edge_emissions(g, k, 4) if trial % 2 else base.emit
+        h = HmmParams(trans=base.trans, emit=emit, init=base.init)
+        sigmas = [g.integers(0, 4, size=n) for n in g.permutation(lengths)]
+        obs, counts, _, order = _pack(sigmas)
+        factors = h.emit.T[obs]
+        alpha, scales = _forward(h, factors, counts)
+        assert (scales > 0).all()
+        beta = _backward(h, factors / scales[:, None], counts)
+        np.testing.assert_allclose((alpha * beta).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        offsets = np.cumsum([0] + counts)
+        for rank, s in enumerate(order):
+            rows = offsets[: len(sigmas[s])] + rank
+            want_alpha, want_beta, want_scales, _ = _oracle_forward_backward(h, sigmas[s])
+            np.testing.assert_allclose(beta[rows], want_beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(alpha[rows], want_alpha, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(scales[rows], want_scales, rtol=1e-12, atol=0)
+
+
 def test_train_memory_follows_total_length():
     # one long sequence among many short ones: padding every sequence to
     # the longest would take 200 * 20,000 * 4 doubles (128 MB) per table
@@ -563,6 +604,26 @@ def test_zero_probability_observation():
     assert forward_probability(h, [0, 0, 1]) == 0.0
     with pytest.raises(ValueError, match="zero probability under current model"):
         baum_welch_train(h, [[0, 0, 0], [0, 1]])
+
+
+def test_zero_probability_names_the_observation_and_the_position():
+    h = HmmParams(
+        trans=[[0.5, 0.5], [0.5, 0.5]],
+        emit=[[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]],
+        init=[0.5, 0.5],
+    )
+    # the bad sequence is the longest, so it packs first, not second
+    data = [[0, 1, 0], [1, 1, 2, 0, 0, 1, 0], [0, 0]]
+    with pytest.raises(ValueError) as info:
+        baum_welch_train(h, data)
+    message = str(info.value)
+    assert "observation 1 has zero probability under current model" in message
+    assert "position 2" in message
+    # of two bad sequences the first in ``data`` is named, even where a
+    # later one hits zero at an earlier position
+    data = [[0, 1], [0, 0, 0, 2], [2, 0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="observation 1 .* position 3 "):
+        baum_welch_train(h, data)
 
 
 def test_train_input_validation():

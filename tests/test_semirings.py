@@ -461,6 +461,37 @@ def test_chain_maxplus_fold_keeps_tie_order_across_rerankings(k):
         assert (got.value, got.path) == (best, word)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
+def test_chain_maxplus_fold_on_float_weights_across_rerankings(k):
+    # non-dyadic log weights round on every add, so the fold must sum each
+    # path in the oracle's order (prefix, then step) to match it exactly;
+    # weights drawn from four values tie in exact arithmetic and, summed
+    # in that order, often in floats too.  -inf entries cut paths (not at
+    # one state, where a single cut leaves no finite path)
+    g = rng(90 + k)
+    cut = 0.2 if k > 1 else 0.0
+    names = [f"q{i:02d}" for i in range(k)]
+    period = 52 // max(1, (k - 1).bit_length()) - 1
+    few = np.log([0.1, 0.3, 0.7, 0.9])
+    for n in (2, period, period + 1, period + 2, 4 * period + 3):
+        for draw in ("continuous", "four values"):
+            labels = tuple(names[i] for i in g.permutation(k))
+            if draw == "continuous":
+                initial = np.log(g.random(k))
+                steps = np.log(g.random((n - 1, k, k)))
+            else:
+                initial = g.choice(few, size=k)
+                steps = g.choice(few, size=(n - 1, k, k))
+            initial[g.random(k) < cut] = -math.inf
+            steps[g.random(steps.shape) < cut] = -math.inf
+            best, word = _maxplus_by_prefixes(initial, steps, labels)
+            got = evaluate_chain(
+                ChainSpec(initial=tuple(initial), steps=steps, labels=labels),
+                MaxPlusSemiring,
+            )
+            assert (got.value, got.path) == (best, word)
+
+
 def test_chain_maxplus_fold_on_infinite_weights():
     inf = math.inf
     # every path is -inf: the smallest label word still wins the tie
